@@ -165,7 +165,14 @@ let () =
   let throughput_rounds = if smoke then 20 else 200 in
   let throughput =
     List.map
-      (fun n -> (Printf.sprintf "nodes%d_req_per_s" n, Suite.throughput ~nodes:n ~rounds:throughput_rounds ()))
+      (fun n ->
+        let name = Printf.sprintf "nodes%d_req_per_s" n in
+        let r = Suite.throughput ~nodes:n ~rounds:throughput_rounds () in
+        (* Informational, not in the JSON: the per-grant cost split into
+           message complexity and per-message CPU cost. *)
+        Printf.eprintf "%-18s %10.0f req/s  %5.2f msgs/grant  %7.0f ns/msg\n" name
+          r.Suite.req_per_s r.Suite.msgs_per_grant r.Suite.ns_per_msg;
+        (name, r.Suite.req_per_s))
       throughput_nodes
   in
   (* Sharded-service rows ride the same aggregate section (not gated):

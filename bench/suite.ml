@@ -389,7 +389,12 @@ let run ?(quota = 0.25) () =
    in the protocol engines, the simulated network and the event loop —
    the implementation's capacity to push lock traffic, not the simulated
    latency. Every fourth node writes, so the load mixes cache-friendly
-   reads with conflicting writes that keep revocation traffic flowing. *)
+   reads with conflicting writes that keep revocation traffic flowing.
+   Beside req/s it reports the two factors of the per-grant cost: protocol
+   messages per grant ({!Dcs_runtime.Net.counters}) and wall-clock
+   nanoseconds per message. *)
+type throughput = { req_per_s : float; msgs_per_grant : float; ns_per_msg : float }
+
 let throughput ~nodes ~rounds () =
   let engine = Dcs_sim.Engine.create () in
   let rng = Dcs_sim.Rng.create ~seed:42L in
@@ -423,7 +428,12 @@ let throughput ~nodes ~rounds () =
   let dt = Unix.gettimeofday () -. t0 in
   let requests = !completed in
   assert (requests = (nodes - 1) * rounds);
-  float_of_int requests /. dt
+  let msgs = float_of_int (Dcs_proto.Counters.total (Dcs_runtime.Net.counters net)) in
+  {
+    req_per_s = float_of_int requests /. dt;
+    msgs_per_grant = msgs /. float_of_int requests;
+    ns_per_msg = (if msgs > 0.0 then dt *. 1e9 /. msgs else Float.nan);
+  }
 
 (* Aggregate requests per second of the sharded lock-namespace service:
    the full round loop (traffic plan, bucket routing, pooled-cell bursts,

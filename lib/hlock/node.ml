@@ -53,13 +53,21 @@ type t = {
      in the copyset Li/Hudak-style so re-acquisition is message-free
      (Rule 2); dropped on freeze/conflict (revocation). *)
   mutable cached : Mode_set.t;
+  (* Copyset, child → (recorded mode, epoch). [child_counts] is its
+     per-mode multiset (indexed by Mode.index), kept like [held_counts] so
+     the owned mode never walks the copyset. *)
   children : (Node_id.t, Mode.t * int) Hashtbl.t;
+  child_counts : int array;
   mutable queue : Msg.request list;  (* FIFO, head first *)
   mutable pending : Msg.request option;
   (* first hop our pending request took; rejected elder requests follow it *)
   mutable pending_trail : Node_id.t option;
   mutable frozen : Mode_set.t;
   sent_freeze : (Node_id.t, Mode_set.t) Hashtbl.t;
+  (* Every child has been sent every frozen mode relevant to it. Cleared
+     whenever [frozen] or a child record changes; while set, a freeze
+     refresh has nothing to send and skips the children walk. *)
+  mutable freezes_settled : bool;
   mutable kick_marks : (Node_id.t * int) list;
   mutable tenure : int;  (* valid while we hold or last held the token *)
   mutable hint : int * Node_id.t;  (* freshest known (tenure, token owner) *)
@@ -110,11 +118,13 @@ let create ?(config = default_config) ?obs ~id ~peers ~is_token ~parent ~send ~o
     held_counts = Array.make 5 0;
     cached = Mode_set.empty;
     children = Hashtbl.create 8;
+    child_counts = Array.make 5 0;
     queue = [];
     pending = None;
     pending_trail = None;
     frozen = Mode_set.empty;
     sent_freeze = Hashtbl.create 8;
+    freezes_settled = false;
     kick_marks = [];
     tenure = 0;
     hint = (0, (if is_token then id else match parent with Some p -> p | None -> id));
@@ -161,6 +171,24 @@ let held_remove t seq =
       t.held_counts.(Mode.index m) <- t.held_counts.(Mode.index m) - 1;
       Some m
 
+(* Copyset maintenance: every mutation of [t.children] goes through these
+   so [child_counts] can never drift. *)
+
+let child_set t c m epoch =
+  (match Hashtbl.find_opt t.children c with
+  | Some (old, _) -> t.child_counts.(Mode.index old) <- t.child_counts.(Mode.index old) - 1
+  | None -> ());
+  Hashtbl.replace t.children c (m, epoch);
+  t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) + 1;
+  t.freezes_settled <- false
+
+let child_remove t c =
+  match Hashtbl.find_opt t.children c with
+  | None -> ()
+  | Some (m, _) ->
+      Hashtbl.remove t.children c;
+      t.child_counts.(Mode.index m) <- t.child_counts.(Mode.index m) - 1
+
 let accounting t =
   match t.accounted_parent with None -> None | Some p -> Some (p, t.accounted_epoch)
 
@@ -170,54 +198,47 @@ let children t =
 
 let cached t = Mode_set.to_list t.cached
 
-(* Owned mode (Definition 3) as a Decision code, allocation-free. The
-   held/cached scan walks mode indices in descending order, which is
-   non-increasing strength (W, IW, U, R, IR), so the first hit is the
-   strongest; a correctly maintained copyset never holds the equal-strength
-   U and IW together (they conflict), so the tie order is immaterial. *)
-let owned_code t =
+(* Owned mode (Definition 3) as a Decision code: a 5-slot scan over the
+   held and copyset multisets plus the cached set, allocation-free. Mode
+   indices descend in non-increasing strength (W, IW, U, R, IR), so the
+   first hit is the strongest. The equal-strength U and IW conflict, so a
+   correctly maintained node never owns both and the tie order is
+   immaterial. [skip_held]/[skip_child] (a mode index, or -1) each mask one
+   instance out of the count. *)
+let scan_owned t ~skip_held ~skip_child =
   let best = ref 0 in
   let i = ref 4 in
   while !best = 0 && !i >= 0 do
-    if t.held_counts.(!i) > 0 || Mode_set.mem (Mode.of_index !i) t.cached then best := !i + 1;
+    let n = t.held_counts.(!i) + t.child_counts.(!i) in
+    let n = if !i = skip_held then n - 1 else n in
+    let n = if !i = skip_child then n - 1 else n in
+    if n > 0 || Mode_set.mem (Mode.of_index !i) t.cached then best := !i + 1;
     decr i
   done;
-  Hashtbl.iter
-    (fun _ (m, _) ->
-      let c = Decision.code_of_mode m in
-      if Decision.strength_of_code c > Decision.strength_of_code !best then best := c)
-    t.children;
   !best
+
+let owned_code t = scan_owned t ~skip_held:(-1) ~skip_child:(-1)
 
 let owned t = Decision.decode_owned (owned_code t)
 
 (* Owned code as seen when evaluating request [r]: an upgrade request masks
-   the requester's own U contribution (Rule 7). Only one U exists system-wide
+   the requester's own U contribution (Rule 7), whether it is held here or
+   recorded for the requester as a child. Only one U exists system-wide
    (U conflicts with U), so masking by mode is unambiguous. *)
 let owned_code_for t (r : Msg.request) =
   if not r.upgrade then owned_code t
   else begin
-    let skip_idx =
+    let skip_held =
       if r.requester = t.id then
         match Hashtbl.find_opt t.held r.seq with Some m -> Mode.index m | None -> -1
       else -1
     in
-    let best = ref 0 in
-    let i = ref 4 in
-    while !best = 0 && !i >= 0 do
-      let n = t.held_counts.(!i) in
-      let n = if !i = skip_idx then n - 1 else n in
-      if n > 0 || Mode_set.mem (Mode.of_index !i) t.cached then best := !i + 1;
-      decr i
-    done;
-    Hashtbl.iter
-      (fun c (m, _) ->
-        if not (c = r.requester && Mode.equal m Mode.U) then begin
-          let code = Decision.code_of_mode m in
-          if Decision.strength_of_code code > Decision.strength_of_code !best then best := code
-        end)
-      t.children;
-    !best
+    let skip_child =
+      match Hashtbl.find_opt t.children r.requester with
+      | Some (Mode.U, _) -> Mode.index Mode.U
+      | _ -> -1
+    in
+    scan_owned t ~skip_held ~skip_child
   end
 
 let is_frozen t m =
@@ -230,6 +251,7 @@ let is_frozen t m =
 let set_frozen t next =
   let prev = t.frozen in
   t.frozen <- next;
+  if not (Mode_set.equal prev next) then t.freezes_settled <- false;
   match t.obs with
   | None -> ()
   | Some f ->
@@ -273,7 +295,7 @@ let emit t dst msg =
   if t.batch_depth > 0 then t.batched <- (dst, msg) :: t.batched
   else t.send ~dst msg
 
-(* Wire messages saved by batch coalescing (diagnostic, like [diversions]). *)
+(* Wire messages saved by batch coalescing (process-wide diagnostic). *)
 let coalesced = ref 0
 
 (* Flush a batch, dropping messages that a later message to the same
@@ -368,6 +390,37 @@ let set_parent t p ~stamp =
 
 (* {1 Freezing (Rule 6)} *)
 
+(* Union of the queued requests' Table 2(b) freeze sets. Only an upgrade
+   sees an owned code other than [owned] (see [owned_code_for]). *)
+let rec queue_freeze_set t ~owned acc = function
+  | [] -> acc
+  | (r : Msg.request) :: rest ->
+      let oc = if r.upgrade then owned_code_for t r else owned in
+      queue_freeze_set t ~owned (Mode_set.union acc (Decision.freeze_set ~owned:oc r.mode)) rest
+
+(* The cumulative frozen set child [c] (recorded at [cm]) must now be sent,
+   or empty if it was already sent all of it. Additive only (the paper: "a
+   mode, once frozen, will not be sent a freeze message again"): no
+   explicit un-freeze traffic. A stale frozen mode merely makes a child
+   forward instead of granting, and clears itself when the child leaves the
+   copyset or changes accounting parent. *)
+let freeze_update t c cm =
+  (* Anything the child could grant, or could be caching somewhere in its
+     subtree (no stronger than its recorded mode), must be frozen there —
+     freezing both stops grants and revokes caches. *)
+  let relevant = Mode_set.inter t.frozen (Decision.le_strength_bits cm) in
+  if Mode_set.is_empty relevant then Mode_set.empty
+  else
+    let previous =
+      match Hashtbl.find_opt t.sent_freeze c with None -> Mode_set.empty | Some s -> s
+    in
+    if Mode_set.subset relevant previous then Mode_set.empty
+    else Mode_set.union relevant previous
+
+let send_freeze t (c, combined) =
+  Hashtbl.replace t.sent_freeze c combined;
+  emit t c (Msg.Freeze { frozen = combined })
+
 (* Recompute (token node) and propagate the frozen set. A child is notified
    only of the frozen modes it could actually grant given the mode we record
    for it; notifications are diffed against what was last sent, so both
@@ -375,12 +428,7 @@ let set_parent t p ~stamp =
 let refresh_freezes t =
   if t.config.freezing then begin
     if t.token then begin
-      let fs =
-        List.fold_left
-          (fun acc (r : Msg.request) ->
-            Mode_set.union acc (Decision.freeze_set ~owned:(owned_code_for t r) r.mode))
-          Mode_set.empty t.queue
-      in
+      let fs = queue_freeze_set t ~owned:(owned_code t) Mode_set.empty t.queue in
       let fs =
         match t.config.mutation with
         | Some Weak_freeze -> (
@@ -393,34 +441,22 @@ let refresh_freezes t =
       in
       set_frozen t fs
     end;
-    (* Nothing frozen here and nothing ever sent: no child notification
-       can result (relevant and previous are both empty for every child),
-       so skip the children walk — it is on the grant hot path. *)
-    if not (Mode_set.is_empty t.frozen && Hashtbl.length t.sent_freeze = 0) then begin
-    let kids = children t in
-    List.iter
-      (fun (c, cm) ->
-        (* Additive only (the paper: "a mode, once frozen, will not be sent
-           a freeze message again"): no explicit un-freeze traffic. A stale
-           frozen mode merely makes a child forward instead of granting,
-           and clears itself when the child leaves the copyset or changes
-           accounting parent. *)
-        let relevant =
-          (* Anything the child could grant, or could be caching somewhere
-             in its subtree (no stronger than its recorded mode), must be
-             frozen there — freezing both stops grants and revokes
-             caches. *)
-          Mode_set.inter t.frozen (Decision.le_strength_bits cm)
-        in
-        let previous =
-          match Hashtbl.find_opt t.sent_freeze c with None -> Mode_set.empty | Some s -> s
-        in
-        let combined = Mode_set.union relevant previous in
-        if not (Mode_set.equal combined previous) then begin
-          Hashtbl.replace t.sent_freeze c combined;
-          emit t c (Msg.Freeze { frozen = combined })
-        end)
-      kids
+    (* Nothing frozen here, or nothing changed since the last walk: no
+       child notification can result, so skip the children walk — it is on
+       the grant hot path. Otherwise collect only the children whose set
+       grows and notify them in ascending id order, so the emission order
+       (and every simulator draw it feeds) does not depend on hash-table
+       layout. *)
+    if not (Mode_set.is_empty t.frozen || t.freezes_settled) then begin
+      let changed =
+        Hashtbl.fold
+          (fun c (cm, _) acc ->
+            let s = freeze_update t c cm in
+            if Mode_set.is_empty s then acc else (c, s) :: acc)
+          t.children []
+      in
+      List.iter (send_freeze t) (List.sort (fun (a, _) (b, _) -> Int.compare a b) changed);
+      t.freezes_settled <- true
     end
   end
 
@@ -503,7 +539,7 @@ let grant_copy t (r : Msg.request) =
     | Some (m, _) -> if Mode.stronger_eq m r.mode then m else r.mode
     | None -> r.mode
   in
-  Hashtbl.replace t.children r.requester (mode, epoch);
+  child_set t r.requester mode epoch;
   let ancestry = if t.token then [] else t.ancestry in
   emit t r.requester
     (Msg.Grant { req = { r with Msg.hint = my_hint t }; epoch; recorded = mode; ancestry });
@@ -512,7 +548,7 @@ let grant_copy t (r : Msg.request) =
 (* Token transfer (Rule 3.2 operational): hand over the token, our queue and
    the frozen set; stay in the tree as a child if we still own something. *)
 let transfer_token t (r : Msg.request) =
-  Hashtbl.remove t.children r.requester;
+  child_remove t r.requester;
   Hashtbl.remove t.sent_freeze r.requester;
   let residual = owned t in
   let sender_epoch = fresh_epoch t in
@@ -561,10 +597,12 @@ let enqueue t (r : Msg.request) =
   | Some f -> f (Dcs_obs.Event.Span { requester = r.requester; seq = r.seq }) Dcs_obs.Event.Queued);
   refresh_freezes t
 
-(* Global diagnostic counters (reset by tests/benches as needed). *)
-let diversions = ref 0
-let sweep_restarts = ref 0
-let relays = ref 0
+let rec mem_node (x : Node_id.t) = function [] -> false | y :: l -> x = y || mem_node x l
+
+(* [p] names a node (>= 0; -1 stands for "none") not yet on [path]. *)
+let unvisited p path = p >= 0 && not (mem_node p path)
+
+let node_or_none = function Some p -> p | None -> -1
 
 (* Relay a request one hop toward the token. Normally that hop is our
    routing parent; if the parent has already seen this request (a transient
@@ -574,72 +612,64 @@ let relays = ref 0
    diverted request sweeps the membership in at most [peers] hops and must
    reach a node that takes custody — the token holder in the worst case. *)
 let forward_onward ?via t (r : Msg.request) =
-  incr relays;
+  let ((hint_stamp, hint_node) as mine) = my_hint t in
   let r =
     {
       r with
       Msg.hops = r.Msg.hops + 1;
-      path = (if List.mem t.id r.Msg.path then r.Msg.path else t.id :: r.Msg.path);
+      path = (if mem_node t.id r.Msg.path then r.Msg.path else t.id :: r.Msg.path);
+      hint = (if hint_stamp > fst r.Msg.hint then mine else r.Msg.hint);
     }
   in
-  let r = { r with Msg.hint = (if fst (my_hint t) > fst r.Msg.hint then my_hint t else r.Msg.hint) } in
-  let unvisited p = not (List.mem p r.Msg.path) in
-  let hinted = snd r.Msg.hint in
-  let live_links () =
-    List.filter_map (fun x -> x) [ via; Some hinted; t.accounted_parent; t.last_granter ]
-  in
-  let by_freshness =
-    (* Order candidate hops by how fresh our knowledge of them is: an
-       explicit override first, then the stamped parent edge versus the
-       gossiped token hint, then the copyset links. *)
-    let parentc = match t.parent with Some p -> [ (t.parent_stamp, p) ] | None -> [] in
-    let hintc = [ (fst (my_hint t), snd (my_hint t)) ] in
-    let ranked = List.sort (fun (a, _) (b, _) -> compare b a) (parentc @ hintc) in
-    (match via with Some v -> [ v ] | None -> []) @ List.map snd ranked
+  let path = r.Msg.path in
+  let via = node_or_none via in
+  let parent = node_or_none t.parent in
+  (* Candidate hops by how fresh our knowledge of them is: an explicit
+     override first, then the stamped parent edge versus the gossiped token
+     hint (the parent wins a tie), then the copyset links. *)
+  let fresher, staler =
+    if parent >= 0 && t.parent_stamp >= hint_stamp then (parent, hint_node) else (hint_node, parent)
   in
   let dst =
-    match List.find_opt unvisited by_freshness with
-    | Some p -> Some p
-    | None ->
-        incr diversions;
-        let rec first i =
-          if i >= t.peers then None else if unvisited i then Some i else first (i + 1)
-        in
-        (match List.find_opt unvisited (live_links ()) with Some p -> Some p | None -> first 0)
+    if unvisited via path then via
+    else if unvisited fresher path then fresher
+    else if unvisited staler path then staler
+    else
+      let hinted = snd r.Msg.hint in
+      let accounted = node_or_none t.accounted_parent in
+      let granter = node_or_none t.last_granter in
+      if unvisited hinted path then hinted
+      else if unvisited accounted path then accounted
+      else if unvisited granter path then granter
+      else
+        let rec first i = if i >= t.peers then -1 else if unvisited i path then i else first (i + 1) in
+        let p = first 0 in
+        if p >= 0 then p
+        else
+          (* Everyone visited without custody: the token kept moving ahead
+             of the sweep. Restart it; randomized latencies make repeated
+             evasion vanishingly unlikely. *)
+          match t.parent with Some p -> p | None -> (t.id + 1) mod t.peers
   in
-  let dst =
-    match dst with
-    | Some p -> Some p
-    | None ->
-        (* Everyone visited without custody: the token kept moving ahead of
-           the sweep. Restart it; randomized latencies make repeated
-           evasion vanishingly unlikely. *)
-        incr sweep_restarts;
-        Some
-          (match t.parent with
-          | Some p -> p
-          | None -> (t.id + 1) mod t.peers)
+  (* Resetting the sweep must NOT keep the requester excluded: the token
+     can land at the requester while its request is mid-sweep (a token
+     transfer serving another of its requests), and a request without local
+     custody — forwarded past an unrelated pending — exists only in flight.
+     Excluding the requester then makes the sweep skip the one node that
+     can serve it, forever. *)
+  let r =
+    if r.Msg.hops > 0 && List.length path >= t.peers then { r with Msg.path = [ t.id ] } else r
   in
-  match dst with
-  | Some p ->
-      (* Resetting the sweep must NOT keep the requester excluded: the
-         token can land at the requester while its request is mid-sweep
-         (a token transfer serving another of its requests), and a
-         request without local custody — forwarded past an unrelated
-         pending — exists only in flight. Excluding the requester then
-         makes the sweep skip the one node that can serve it, forever. *)
-      let r = if r.Msg.hops > 0 && List.length r.Msg.path >= t.peers then { r with Msg.path = [ t.id ] } else r in
-      (if Msg.request_same r (match t.pending with Some p -> p | None -> { r with Msg.seq = -1 }) then
-         t.pending_trail <- Some p);
-      (match t.obs with
-      | None -> ()
-      | Some f ->
-          f
-            (Dcs_obs.Event.Span { requester = r.Msg.requester; seq = r.Msg.seq })
-            (Dcs_obs.Event.Forwarded { dst = p }));
-      emit t p (Msg.Request r)
-  | None -> assert false
-
+  (match t.pending with
+  | Some p when Msg.request_same r p -> t.pending_trail <- Some dst
+  | _ -> ());
+  (match t.obs with
+  | None -> ()
+  | Some f ->
+      f
+        (Dcs_obs.Event.Span { requester = r.Msg.requester; seq = r.Msg.seq })
+        (Dcs_obs.Event.Forwarded { dst }));
+  emit t dst (Msg.Request r)
 
 (* {1 Queue service (Rule 4 operational, Rule 5.1)} *)
 
@@ -913,8 +943,8 @@ let handle_token t ~src (m : Msg.t) =
       t.last_granter <- Some src;
       t.tenure <- max (fst serving.Msg.hint) (fst t.hint + 1);
       (match sender_owned with
-      | Some m -> Hashtbl.replace t.children src (m, sender_epoch)
-      | None -> Hashtbl.remove t.children src);
+      | Some m -> child_set t src m sender_epoch
+      | None -> child_remove t src);
       t.queue <- Msg.merge_queues queue t.queue;
       set_frozen t frozen;
       grant_self ~via_token:true t serving;
@@ -927,9 +957,9 @@ let handle_release t ~src ~new_owned ~epoch =
   | Some (_, e) when e = epoch -> (
       (match new_owned with
       | None ->
-          Hashtbl.remove t.children src;
+          child_remove t src;
           Hashtbl.remove t.sent_freeze src
-      | Some m -> Hashtbl.replace t.children src (m, e));
+      | Some m -> child_set t src m e);
       after_owned_change t)
   | Some _ | None -> ()  (* stale epoch or unknown child: superseded *)
 
@@ -1153,11 +1183,13 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upg
       held_counts = Array.make 5 0;
       cached = s.s_cached;
       children = Hashtbl.create 8;
+      child_counts = Array.make 5 0;
       queue = s.s_queue;
       pending = None;
       pending_trail = None;
       frozen = s.s_frozen;
       sent_freeze = Hashtbl.create 8;
+      freezes_settled = false;
       kick_marks = [];
       tenure = s.s_tenure;
       hint = s.s_hint;
@@ -1172,6 +1204,6 @@ let restore ?(config = default_config) ?obs ~id ~peers ~send ~on_granted ~on_upg
       batched = [];
     }
   in
-  List.iter (fun (c, m, e) -> Hashtbl.replace t.children c (m, e)) s.s_children;
+  List.iter (fun (c, m, e) -> child_set t c m e) s.s_children;
   List.iter (fun (c, ms) -> Hashtbl.replace t.sent_freeze c ms) s.s_sent_freeze;
   t

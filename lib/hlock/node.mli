@@ -14,7 +14,8 @@
     multiset of locally [held] modes, a FIFO local [queue] of requests it
     could not serve, at most one [pending] request sent to its parent, and
     the current [frozen] mode set. The {e owned} mode (Definition 3) is the
-    strongest of held and children modes and is recomputed on demand.
+    strongest of held, cached and children modes; per-mode counts of the
+    held and children multisets make computing it a five-slot scan.
 
     {2 Interpretations of under-specified corners} (full catalogue with
     rationale in DESIGN.md §2)
@@ -183,7 +184,7 @@ val id : t -> Node_id.t
 val is_token : t -> bool
 val parent : t -> Node_id.t option
 
-(** Strongest of held and children modes (Definition 3); [None] = ⊥. *)
+(** Strongest of held, cached and children modes (Definition 3); [None] = ⊥. *)
 val owned : t -> Mode.t option
 
 (** Locally held instances as [(seq, mode)]. *)
@@ -261,13 +262,3 @@ val restore :
   on_upgraded:(int -> unit) ->
   snapshot ->
   t
-
-(** {1 Global diagnostic counters}
-
-    Process-wide tallies of routing behaviour, for experiments and tests:
-    total request relays, relays that had to divert around an
-    already-visited hop, and full sweep restarts. *)
-
-val relays : int ref
-val diversions : int ref
-val sweep_restarts : int ref
