@@ -8,28 +8,45 @@ let src_log = Logs.Src.create "dcs.netkit" ~doc:"TCP cluster runner"
 
 module Log = (val Logs.src_log src_log : Logs.LOG)
 
-type outbound = {
-  mutable queue : Codec.envelope Queue.t;  (* unencoded; the writer thread encodes *)
-  mutable alive : bool;
-  cond : Condition.t;
+(* The outbound connection to one peer. [Broken] holds a socket whose
+   write failed; only the loop closes it, because a socket another thread
+   closes could still be in the loop's current select set. *)
+type link = Down | Connecting of Unix.file_descr | Up of Unix.file_descr | Broken of Unix.file_descr
+
+type peer = {
+  pid : int;
+  (* Encoded frames back to back (4-byte big-endian length prefix +
+     envelope). Bytes before [start] belong to frames already accounted;
+     the kernel has taken everything before [written]. *)
+  out : Buf.writer;
+  frames : (int * Codec.envelope) Queue.t;  (* size of each frame from [start] on *)
+  mutable start : int;
+  mutable written : int;
+  mutable link : link;
+  mutable connected_before : bool;
+  mutable delay : float;  (* the next reconnect backoff *)
+  mutable retry_at : float;
+  mutable attempts : int;
 }
+
+(* A grant or upgrade callback, or the note that the event came first. *)
+type slot = Waiting of (unit -> unit) | Fired
+
+(* An accepted connection; touched only by the loop thread. *)
+type inbound = { fd : Unix.file_descr; mutable data : Bytes.t; mutable len : int }
 
 type t = {
   config : Cluster_config.t;
   self : int;
-  (* Striped engine locks: one mutex per lock object, so independent lock
-     engines dispatch concurrently instead of serializing on one global
-     mutex. Each stripe also guards that lock's callback tables. *)
-  stripes : Mutex.t array;
+  (* The one mutex: it guards the engines, the callback tables, [due],
+     the counters and every peer's link and output buffer. *)
+  mutex : Mutex.t;
   mutable nodes : Node.t array;  (* one engine per lock *)
-  granted_cbs : (int, unit -> unit) Hashtbl.t array;  (* per lock, seq-keyed *)
-  granted_fired : (int, unit) Hashtbl.t array;
-  upgraded_cbs : (int, unit -> unit) Hashtbl.t array;
-  upgraded_fired : (int, unit) Hashtbl.t array;
+  grants : (int, slot) Hashtbl.t array;  (* per lock, seq-keyed *)
+  upgrades : (int, slot) Hashtbl.t array;
+  mutable due : (unit -> unit) list;  (* callbacks to run once the mutex is released *)
   counters : Dcs_proto.Counters.t;
-  counters_lock : Mutex.t;
-  outbounds : (int, outbound) Hashtbl.t;  (* peer id -> writer state *)
-  outbound_lock : Mutex.t;
+  peers : peer array;  (* by peer id; the own slot stays empty *)
   kick_interval : float;
   telemetry : Dcs_obs.Shard.t option;
   (* Live transport metrics ({!Dcs_obs.Metrics}): the handles are looked
@@ -50,9 +67,10 @@ type t = {
   m_queue_depth : Metrics.gauge;
   m_grants : Metrics.counter array;  (* per Mode.index *)
   m_upgrades : Metrics.counter;
-  mutable listener : Unix.file_descr option;
   mutable running : bool;
-  mutable threads : Thread.t list;
+  mutable loop : Thread.t option;
+  mutable wake_w : Unix.file_descr option;  (* write end of the loop's self-pipe *)
+  mutable woken : bool;  (* a wake-up byte went out since the loop last looked *)
 }
 
 let id t = t.self
@@ -78,9 +96,9 @@ type stats = {
 }
 
 let queued_frames t =
-  Mutex.lock t.outbound_lock;
-  let n = Hashtbl.fold (fun _ out acc -> acc + Queue.length out.queue) t.outbounds 0 in
-  Mutex.unlock t.outbound_lock;
+  Mutex.lock t.mutex;
+  let n = Array.fold_left (fun acc p -> acc + Queue.length p.frames) 0 t.peers in
+  Mutex.unlock t.mutex;
   n
 
 let stats t =
@@ -99,6 +117,11 @@ let stats t =
     frames_received = Metrics.value t.m_frames_received;
     bytes_received = Metrics.value t.m_bytes_received;
   }
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let addr (p : Cluster_config.peer) =
+  Unix.ADDR_INET (Unix.inet_addr_of_string p.Cluster_config.host, p.Cluster_config.port)
 
 (* The span id a wire message belongs to, if it carries one. Release and
    Freeze messages are span-less bookkeeping. *)
@@ -127,173 +150,108 @@ let record_written t ~dst (env : Codec.envelope) ~payload_bytes =
           | None -> ())
       | Codec.Naimi _ | Codec.Shard _ -> ())
 
-(* {1 Outbound connections: one writer thread per peer}
+(* {1 Outbound: per-peer buffers, written without blocking}
 
-   Frames queue as unencoded envelopes; the writer thread drains the
-   whole queue under one lock acquisition, encodes everything into one
-   reusable flat buffer (4-byte big-endian length prefix per frame,
-   frames back to back) and flushes the batch with a single write. On a
-   write failure every frame the kernel did not fully accept is requeued
-   in order and the connection is re-established with capped exponential
-   backoff — frames are only ever dropped at shutdown, and then the
-   exact count is logged. *)
+   All of this runs under [t.mutex]. *)
 
-let max_batch_bytes = 256 * 1024
-
-(* Write [len] bytes, reporting partial progress on failure so the
-   caller knows which whole frames the kernel accepted. *)
-let write_all fd buf len =
-  let off = ref 0 in
-  try
-    while !off < len do
-      let k = Unix.write fd buf !off (len - !off) in
-      off := !off + k
-    done;
-    Ok ()
-  with e -> Error (!off, e)
-
-let writer_loop t peer_id out =
-  let peer = Cluster_config.peer t.config peer_id in
-  let wbuf = Buf.writer ~capacity:8192 () in
-  let drained = Queue.create () in  (* drained from out.queue, not yet on the wire *)
-  let connected_before = ref false in
-  let connect () =
-    (* Retry while the runner lives: outbound frames wait in the queue
-       instead of being dropped. *)
-    let rec go delay attempts =
-      if not (out.alive && t.running) then None
-      else
-        match
-          let addr = Unix.ADDR_INET (Unix.inet_addr_of_string peer.host, peer.port) in
-          let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try
-             Unix.setsockopt sock Unix.TCP_NODELAY true;
-             Unix.connect sock addr;
-             sock
-           with e ->
-             (try Unix.close sock with _ -> ());
-             raise e)
-        with
-        | sock ->
-            Metrics.incr t.m_connects;
-            if !connected_before then Metrics.incr t.m_reconnects;
-            connected_before := true;
-            Metrics.set t.m_backoff 0.0;
-            Some sock
-        | exception _ ->
-            Metrics.incr t.m_connect_retries;
-            Metrics.set t.m_backoff (delay *. 1000.0);
-            if attempts > 0 && attempts mod 50 = 0 then
-              Log.warn (fun m ->
-                  m "writer to %d: still unreachable after %d attempts" peer_id attempts);
-            Thread.delay delay;
-            go (Float.min 1.0 (delay *. 1.5)) (attempts + 1)
-    in
-    go 0.05 0
-  in
-  (* Put [envs] (oldest first) back ahead of everything still pending. *)
-  let requeue envs =
-    let q = Queue.create () in
-    List.iter (fun e -> Queue.push e q) envs;
-    Queue.transfer drained q;
-    Queue.transfer q drained
-  in
-  let rec session () =
-    match connect () with
-    | None ->
-        Mutex.lock t.outbound_lock;
-        let dropped = Queue.length drained + Queue.length out.queue in
-        Mutex.unlock t.outbound_lock;
-        if dropped > 0 then begin
-          Metrics.add t.m_dropped dropped;
-          Log.err (fun m -> m "writer to %d: shut down with %d frame(s) unsent" peer_id dropped)
-        end
-    | Some fd -> pump fd
-  and pump fd =
-    if Queue.is_empty drained then begin
-      Mutex.lock t.outbound_lock;
-      while Queue.is_empty out.queue && out.alive do
-        Condition.wait out.cond t.outbound_lock
-      done;
-      (* Batch drain: the whole outbound queue, one lock acquisition. *)
-      Queue.transfer out.queue drained;
-      Mutex.unlock t.outbound_lock
-    end;
-    if not out.alive then begin
-      (try Unix.close fd with _ -> ());
-      session ()  (* resolves to the shutdown branch; logs any drops *)
-    end
-    else begin
-      Buf.reset wbuf;
-      let batch = ref [] in  (* (envelope, end offset in wbuf), newest first *)
-      while (not (Queue.is_empty drained)) && Buf.length wbuf < max_batch_bytes do
-        let env = Queue.pop drained in
-        let at = Buf.length wbuf in
-        Buf.u32_be wbuf 0;
-        Codec.write_envelope wbuf env;
-        Buf.patch_u32_be wbuf ~at (Buf.length wbuf - at - 4);
-        batch := (env, Buf.length wbuf) :: !batch
-      done;
-      (* Account frames the kernel fully accepted (all of them on Ok; the
-         prefix up to [written] on a partial write). Per-frame payload size
-         falls out of consecutive end offsets minus the 4-byte prefix. *)
-      let account written frames =
-        Metrics.incr t.m_batches;
-        let sent, bytes =
-          List.fold_left
-            (fun (n, start) ((env : Codec.envelope), fin) ->
-              if fin <= written then begin
-                record_written t ~dst:peer_id env ~payload_bytes:(fin - start - 4);
-                (n + 1, fin)
-              end
-              else (n, start))
-            (0, 0) frames
-        in
-        Metrics.add t.m_frames_sent sent;
-        Metrics.add t.m_bytes_sent bytes
-      in
-      match write_all fd (Buf.unsafe_bytes wbuf) (Buf.length wbuf) with
-      | Ok () ->
-          account (Buf.length wbuf) (List.rev !batch);
-          pump fd
-      | Error (written, e) ->
-          account written (List.rev !batch);
-          Metrics.incr t.m_partial_requeues;
-          let unsent = List.rev (List.filter (fun (_, fin) -> fin > written) !batch) in
-          requeue (List.map fst unsent);
-          Log.err (fun m ->
-              m "writer to %d: write failed after %d bytes (%s); requeued %d frame(s), reconnecting"
-                peer_id written (Printexc.to_string e) (List.length unsent));
-          (try Unix.close fd with _ -> ());
-          session ()
-    end
-  in
-  session ()
-
-let outbound_for t peer_id =
-  Mutex.lock t.outbound_lock;
-  let out =
-    match Hashtbl.find_opt t.outbounds peer_id with
-    | Some out when out.alive -> out
-    | _ ->
-        let out = { queue = Queue.create (); alive = true; cond = Condition.create () } in
-        Hashtbl.replace t.outbounds peer_id out;
-        let th = Thread.create (fun () -> writer_loop t peer_id out) () in
-        t.threads <- th :: t.threads;
-        out
-  in
-  Mutex.unlock t.outbound_lock;
-  out
+let wake t =
+  match t.wake_w with
+  | Some fd when not t.woken ->
+      t.woken <- true;
+      ignore (Unix.single_write_substring fd "w" 0 1)
+  | _ -> ()
 
 let send_env t ~dst env =
   if dst = t.self then Log.err (fun m -> m "dropping self-addressed frame")
   else begin
-    let out = outbound_for t dst in
-    Mutex.lock t.outbound_lock;
-    Queue.push env out.queue;
-    Condition.signal out.cond;
-    Mutex.unlock t.outbound_lock
+    let p = t.peers.(dst) in
+    let at = Buf.length p.out in
+    Buf.u32_be p.out 0;
+    Codec.write_envelope p.out env;
+    Buf.patch_u32_be p.out ~at (Buf.length p.out - at - 4);
+    Queue.push (Buf.length p.out - at, env) p.frames
   end
+
+(* Book every frame the kernel has now taken whole. *)
+let account t p =
+  while (not (Queue.is_empty p.frames)) && p.start + fst (Queue.peek p.frames) <= p.written do
+    let size, env = Queue.pop p.frames in
+    record_written t ~dst:p.pid env ~payload_bytes:(size - 4);
+    Metrics.incr t.m_frames_sent;
+    Metrics.add t.m_bytes_sent size;
+    p.start <- p.start + size
+  done
+
+(* One syscall per [single_write], so a failure never hides how many
+   bytes earlier calls handed over. On a failed write every byte from the
+   first frame not fully written is kept: the peer discards the truncated
+   copy at end of stream and gets the frame again, whole, on the next
+   connection. *)
+let rec write_out t p fd =
+  let len = Buf.length p.out in
+  match Unix.single_write fd (Buf.unsafe_bytes p.out) p.written (len - p.written) with
+  | k ->
+      Metrics.incr t.m_batches;
+      p.written <- p.written + k;
+      account t p;
+      if p.written = len then begin
+        Buf.reset p.out;
+        p.start <- 0;
+        p.written <- 0
+      end
+      else write_out t p fd
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+      Metrics.incr t.m_partial_requeues;
+      Log.err (fun m ->
+          m "link to %d: write failed (%s); keeping %d frame(s), reconnecting" p.pid
+            (Unix.error_message e) (Queue.length p.frames));
+      p.written <- p.start;
+      p.link <- Broken fd
+
+(* Hand every peer's pending bytes to the kernel. Whatever is left (the
+   kernel's buffer is full, or the peer is not connected) waits for the
+   loop, which is woken to take it on. *)
+let flush t =
+  let left = ref false in
+  Array.iter
+    (fun p ->
+      if p.written < Buf.length p.out then begin
+        (match p.link with Up fd -> write_out t p fd | Down | Connecting _ | Broken _ -> ());
+        if p.written < Buf.length p.out then left := true
+      end)
+    t.peers;
+  if !left then wake t
+
+(* Run [f] under the mutex, flush what it sent, release the mutex, then
+   run the callbacks it made due: they may call back into [t]. *)
+let locked t f =
+  Mutex.lock t.mutex;
+  Fun.protect f ~finally:(fun () ->
+      flush t;
+      let due = List.rev t.due in
+      t.due <- [];
+      Mutex.unlock t.mutex;
+      List.iter
+        (fun cb ->
+          try cb () with e -> Log.err (fun m -> m "callback raised: %s" (Printexc.to_string e)))
+        due)
+
+(* A grant or upgrade for [seq] happened: make its callback due, or note
+   it for {!on_fired} when the caller has not registered one yet. *)
+let fired t tbl seq =
+  match Hashtbl.find_opt tbl seq with
+  | Some (Waiting cb) ->
+      Hashtbl.remove tbl seq;
+      t.due <- cb :: t.due
+  | Some Fired | None -> Hashtbl.replace tbl seq Fired
+
+let on_fired t tbl seq cb =
+  match Hashtbl.find_opt tbl seq with
+  | Some Fired ->
+      Hashtbl.remove tbl seq;
+      t.due <- cb :: t.due
+  | Some (Waiting _) | None -> Hashtbl.replace tbl seq (Waiting cb)
 
 (* {1 Node construction} *)
 
@@ -304,20 +262,31 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
   let locks = config.Cluster_config.locks in
   let metrics = Metrics.create () in
   let c name = Metrics.counter metrics name and g name = Metrics.gauge metrics name in
+  let peer pid =
+    {
+      pid;
+      out = Buf.writer ();
+      frames = Queue.create ();
+      start = 0;
+      written = 0;
+      link = Down;
+      connected_before = false;
+      delay = 0.05;
+      retry_at = 0.0;
+      attempts = 0;
+    }
+  in
   let t =
     {
       config;
       self;
-      stripes = Array.init locks (fun _ -> Mutex.create ());
+      mutex = Mutex.create ();
       nodes = [||];
-      granted_cbs = Array.init locks (fun _ -> Hashtbl.create 32);
-      granted_fired = Array.init locks (fun _ -> Hashtbl.create 32);
-      upgraded_cbs = Array.init locks (fun _ -> Hashtbl.create 8);
-      upgraded_fired = Array.init locks (fun _ -> Hashtbl.create 8);
+      grants = Array.init locks (fun _ -> Hashtbl.create 32);
+      upgrades = Array.init locks (fun _ -> Hashtbl.create 8);
+      due = [];
       counters = Dcs_proto.Counters.create ();
-      counters_lock = Mutex.create ();
-      outbounds = Hashtbl.create 8;
-      outbound_lock = Mutex.create ();
+      peers = Array.init n peer;
       kick_interval;
       telemetry;
       metrics;
@@ -337,34 +306,20 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
       m_grants =
         Array.of_list (List.map (fun m -> c ("grants." ^ Mode.to_string m)) Mode.all);
       m_upgrades = c "grants.upgrades";
-      listener = None;
       running = false;
-      threads = [];
+      loop = None;
+      wake_w = None;
+      woken = false;
     }
   in
   let nodes =
     Array.init locks (fun lock ->
         let send ~dst msg =
-          (* Counters are shared across stripes; guard the increment. *)
-          Mutex.lock t.counters_lock;
           Dcs_proto.Counters.incr t.counters (Dcs_hlock.Msg.class_of msg);
-          Mutex.unlock t.counters_lock;
           send_env t ~dst { Codec.src = self; lock; payload = Codec.Hlock msg }
         in
-        let on_granted (r : Dcs_hlock.Msg.request) =
-          match Hashtbl.find_opt t.granted_cbs.(lock) r.seq with
-          | Some cb ->
-              Hashtbl.remove t.granted_cbs.(lock) r.seq;
-              cb ()
-          | None -> Hashtbl.replace t.granted_fired.(lock) r.seq ()
-        in
-        let on_upgraded seq =
-          match Hashtbl.find_opt t.upgraded_cbs.(lock) seq with
-          | Some cb ->
-              Hashtbl.remove t.upgraded_cbs.(lock) seq;
-              cb ()
-          | None -> Hashtbl.replace t.upgraded_fired.(lock) seq ()
-        in
+        let on_granted (r : Dcs_hlock.Msg.request) = fired t t.grants.(lock) r.seq in
+        let on_upgraded seq = fired t t.upgrades.(lock) seq in
         (* Engine lifecycle hook: grant-mix counters always (the analyzer
            cross-checks them against merged spans), full event stream to
            the shard when one is attached. *)
@@ -387,242 +342,299 @@ let create ?(protocol = Node.default_config) ?(kick_interval = 1.0) ?telemetry ~
 
 (* {1 Inbound} *)
 
-let dispatch t (env : Codec.envelope) =
+(* Runs under the mutex. *)
+let dispatch t (env : Codec.envelope) ~bytes =
+  Metrics.incr t.m_frames_received;
+  Metrics.add t.m_bytes_received bytes;
   match env.Codec.payload with
   | Codec.Hlock msg ->
+      (* The Received event must precede the events dispatch produces, so
+         the span's merged timeline orders the arrival before its
+         consequences. *)
+      (match (t.telemetry, span_of_msg msg) with
+      | Some sh, Some (requester, seq) ->
+          Dcs_obs.Shard.event sh ~lock:env.Codec.lock ~node:t.self
+            (Dcs_obs.Event.Span { requester; seq })
+            (Dcs_obs.Event.Received { cls = Dcs_hlock.Msg.class_of msg; src = env.Codec.src })
+      | _ -> ());
       let lock = env.Codec.lock in
       if lock < 0 || lock >= Array.length t.nodes then
         Log.err (fun m -> m "message for unknown lock %d" lock)
       else begin
         let node = t.nodes.(lock) in
-        Mutex.lock t.stripes.(lock);
-        (try
-           Node.with_send_batch node (fun () -> Node.handle_msg node ~src:env.Codec.src msg)
-         with e -> Log.err (fun m -> m "handler raised: %s" (Printexc.to_string e)));
-        Mutex.unlock t.stripes.(lock)
+        try Node.with_send_batch node (fun () -> Node.handle_msg node ~src:env.Codec.src msg)
+        with e -> Log.err (fun m -> m "handler raised: %s" (Printexc.to_string e))
       end
-  | Codec.Naimi _ -> Log.err (fun m -> m "unexpected Naimi payload")
-  | Codec.Shard _ -> Log.err (fun m -> m "unexpected Shard payload")
+  | Codec.Naimi _ | Codec.Shard _ -> Log.err (fun m -> m "unexpected non-hlock payload")
 
-(* Raw-socket framing (no buffered channels): read exactly [n] bytes. *)
-let really_read fd buf n =
-  let rec go off =
-    if off < n then begin
-      let k = Unix.read fd buf off (n - off) in
-      if k = 0 then raise End_of_file;
-      go (off + k)
+(* Dispatch every complete frame in [c]'s buffer from [off] on, in place,
+   then keep the incomplete tail at the front of a buffer it fits in.
+   [Error] on an oversized or malformed frame. *)
+let rec take_frames t c off =
+  let whole = c.len - off >= 4 in
+  let size = if whole then Int32.to_int (Bytes.get_int32_be c.data off) land 0xffff_ffff else 0 in
+  if size > Codec.max_frame then Error (Printf.sprintf "oversized frame (%d bytes)" size)
+  else if whole && c.len - off - 4 >= size then
+    match Codec.decode_sub c.data ~off:(off + 4) ~len:size with
+    | env ->
+        dispatch t env ~bytes:size;
+        take_frames t c (off + 4 + size)
+    | exception Buf.Malformed reason -> Error ("malformed frame: " ^ reason)
+  else begin
+    let cap = Bytes.length c.data in
+    let data = if cap >= 4 + size then c.data else Bytes.create (max (2 * cap) (4 + size)) in
+    Bytes.blit c.data off data 0 (c.len - off);
+    c.data <- data;
+    c.len <- c.len - off;
+    Ok ()
+  end
+
+(* Read what [c] has; close it and return false at end of stream, on a
+   read error or on a bad frame. *)
+let receive t c =
+  let open_ =
+    match Unix.read c.fd c.data c.len (Bytes.length c.data - c.len) with
+    | 0 -> false
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
+    | exception Unix.Unix_error _ -> false
+    | k -> (
+        c.len <- c.len + k;
+        match locked t (fun () -> take_frames t c 0) with
+        | Ok () -> true
+        | Error reason ->
+            Metrics.incr t.m_decode_errors;
+            Log.err (fun m -> m "%s; closing the connection" reason);
+            false)
+  in
+  if not open_ then close_quietly c.fd;
+  open_
+
+(* {1 The event loop} *)
+
+(* Connect failures back off 50 ms, ×1.5 per failure, capped at 1 s. *)
+let retry_later t p =
+  Metrics.incr t.m_connect_retries;
+  Metrics.set t.m_backoff (p.delay *. 1000.0);
+  p.attempts <- p.attempts + 1;
+  if p.attempts mod 50 = 0 then
+    Log.warn (fun m -> m "link to %d: still unreachable after %d attempts" p.pid p.attempts);
+  p.retry_at <- Unix.gettimeofday () +. p.delay;
+  p.delay <- Float.min 1.0 (p.delay *. 1.5);
+  p.link <- Down
+
+let connect t p =
+  match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> retry_later t p
+  | fd -> (
+      match
+        Unix.set_nonblock fd;
+        Unix.setsockopt fd Unix.TCP_NODELAY true;
+        Unix.connect fd (addr (Cluster_config.peer t.config p.pid))
+      with
+      | () | (exception Unix.Unix_error (Unix.EINPROGRESS, _, _)) -> p.link <- Connecting fd
+      | exception _ ->
+          close_quietly fd;
+          retry_later t p)
+
+(* A connecting socket turned writable: the connect finished, one way or
+   the other. *)
+let connected t p fd =
+  match Unix.getsockopt_error fd with
+  | None ->
+      Metrics.incr t.m_connects;
+      if p.connected_before then Metrics.incr t.m_reconnects;
+      p.connected_before <- true;
+      Metrics.set t.m_backoff 0.0;
+      p.delay <- 0.05;
+      p.attempts <- 0;
+      p.link <- Up fd
+  | Some _ ->
+      close_quietly fd;
+      retry_later t p
+
+let kick t =
+  locked t (fun () -> Array.iter (fun n -> Node.with_send_batch n (fun () -> Node.kick n)) t.nodes);
+  Metrics.set t.m_queue_depth (float_of_int (queued_frames t));
+  Option.iter (fun sh -> Dcs_obs.Shard.snapshot sh t.metrics) t.telemetry
+
+(* Close every socket, booking the frames that never left as dropped. *)
+let shut_down t listener wake_r conns =
+  Mutex.lock t.mutex;
+  Array.iter
+    (fun p ->
+      (match p.link with Down -> () | Connecting fd | Up fd | Broken fd -> close_quietly fd);
+      let dropped = Queue.length p.frames in
+      if dropped > 0 then begin
+        Metrics.add t.m_dropped dropped;
+        Log.err (fun m -> m "link to %d: shut down with %d frame(s) unsent" p.pid dropped)
+      end)
+    t.peers;
+  Option.iter close_quietly t.wake_w;
+  t.wake_w <- None;
+  Mutex.unlock t.mutex;
+  List.iter (fun c -> close_quietly c.fd) conns;
+  close_quietly listener;
+  close_quietly wake_r
+
+let run_loop t listener wake_r =
+  let conns = ref [] in
+  let next_kick = ref (Unix.gettimeofday () +. t.kick_interval) in
+  let running = ref true in
+  while !running do
+    (* Timers: close broken links, start due connects, and find which
+       outbound sockets to watch and how long to wait. Any change after
+       this point writes a new wake-up byte. *)
+    Mutex.lock t.mutex;
+    running := t.running;
+    t.woken <- false;
+    let now = Unix.gettimeofday () in
+    let writes = ref [] and deadline = ref !next_kick in
+    Array.iter
+      (fun p ->
+        (match p.link with
+        | Broken fd ->
+            close_quietly fd;
+            p.link <- Down;
+            p.retry_at <- now
+        | Down | Connecting _ | Up _ -> ());
+        let pending = p.written < Buf.length p.out in
+        if pending && p.link = Down && p.retry_at <= now then connect t p;
+        match p.link with
+        | Down | Broken _ -> if pending then deadline := Float.min !deadline p.retry_at
+        | Connecting fd -> writes := fd :: !writes
+        | Up fd -> if pending then writes := fd :: !writes)
+      t.peers;
+    Mutex.unlock t.mutex;
+    if !running then begin
+      let reads = wake_r :: listener :: List.map (fun c -> c.fd) !conns in
+      match Unix.select reads !writes [] (Float.max 0.0 (!deadline -. now)) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | readable, writable, _ ->
+          if List.mem wake_r readable then ignore (Unix.read wake_r (Bytes.create 16) 0 16);
+          (if List.mem listener readable then
+             match Unix.accept listener with
+             | fd, _ ->
+                 Unix.set_nonblock fd;
+                 conns := { fd; data = Bytes.create 4096; len = 0 } :: !conns
+             | exception Unix.Unix_error _ -> ());
+          conns := List.filter (fun c -> (not (List.mem c.fd readable)) || receive t c) !conns;
+          if writable <> [] then
+            locked t (fun () ->
+                Array.iter
+                  (fun p ->
+                    match p.link with
+                    | Connecting fd when List.mem fd writable -> connected t p fd
+                    | Down | Connecting _ | Up _ | Broken _ -> ())
+                  t.peers);
+          if Unix.gettimeofday () >= !next_kick then begin
+            kick t;
+            next_kick := Unix.gettimeofday () +. t.kick_interval
+          end
     end
-  in
-  go 0
-
-let reader_loop t fd =
-  let header = Bytes.create 4 in
-  (* One reusable inbound buffer per connection, grown to the largest
-     frame seen; frames decode in place, no per-frame [Bytes.to_string]. *)
-  let body = ref (Bytes.create 4096) in
-  let rec go () =
-    match really_read fd header 4 with
-    | exception End_of_file -> ()
-    | exception _ -> ()
-    | () ->
-        let len =
-          (Char.code (Bytes.get header 0) lsl 24)
-          lor (Char.code (Bytes.get header 1) lsl 16)
-          lor (Char.code (Bytes.get header 2) lsl 8)
-          lor Char.code (Bytes.get header 3)
-        in
-        if len > Codec.max_frame then begin
-          Metrics.incr t.m_decode_errors;
-          Log.err (fun m -> m "oversized frame (%d bytes)" len)
-        end
-        else begin
-          if Bytes.length !body < len then begin
-            let cap = ref (2 * Bytes.length !body) in
-            while !cap < len do
-              cap := 2 * !cap
-            done;
-            body := Bytes.create !cap
-          end;
-          match really_read fd !body len with
-          | exception _ -> ()
-          | () -> (
-              match Codec.decode_sub !body ~off:0 ~len with
-              | env ->
-                  Metrics.incr t.m_frames_received;
-                  Metrics.add t.m_bytes_received len;
-                  (* The Received event must precede the events dispatch
-                     produces, so the span's merged timeline orders the
-                     arrival before its consequences. *)
-                  (match t.telemetry with
-                  | Some sh -> (
-                      match env.Codec.payload with
-                      | Codec.Hlock msg -> (
-                          match span_of_msg msg with
-                          | Some (requester, seq) ->
-                              Dcs_obs.Shard.event sh ~lock:env.Codec.lock ~node:t.self
-                                (Dcs_obs.Event.Span { requester; seq })
-                                (Dcs_obs.Event.Received
-                                   { cls = Dcs_hlock.Msg.class_of msg; src = env.Codec.src })
-                          | None -> ())
-                      | Codec.Naimi _ | Codec.Shard _ -> ())
-                  | None -> ());
-                  dispatch t env;
-                  go ()
-              | exception Dcs_wire.Buf.Malformed reason ->
-                  Metrics.incr t.m_decode_errors;
-                  Log.err (fun m -> m "malformed frame: %s" reason))
-        end
-  in
-  go ()
-
-let accept_loop t sock =
-  while t.running do
-    match Unix.accept sock with
-    | conn, _ ->
-        let th = Thread.create (fun () -> reader_loop t conn) () in
-        t.threads <- th :: t.threads
-    | exception _ -> ()
-  done
-
-let kick_loop t =
-  while t.running do
-    Thread.delay t.kick_interval;
-    Array.iteri
-      (fun lock node ->
-        Mutex.lock t.stripes.(lock);
-        Node.with_send_batch node (fun () -> Node.kick node);
-        Mutex.unlock t.stripes.(lock))
-      t.nodes;
-    Metrics.set t.m_queue_depth (float_of_int (queued_frames t));
-    match t.telemetry with Some sh -> Dcs_obs.Shard.snapshot sh t.metrics | None -> ()
-  done
+  done;
+  shut_down t listener wake_r !conns
 
 let start t =
-  if t.running then ()
-  else begin
-    t.running <- true;
+  if not t.running then begin
     (* A peer that dies between our connect and our write would otherwise
-       kill the whole process with SIGPIPE; the writer loop turns the
-       resulting EPIPE into a requeue-and-reconnect. *)
+       kill the whole process with SIGPIPE; the loop turns the resulting
+       EPIPE into a reconnect that resends the unsent frames. *)
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    let me = Cluster_config.peer t.config t.self in
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt sock Unix.SO_REUSEADDR true;
-    Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string me.Cluster_config.host, me.Cluster_config.port));
-    Unix.listen sock 64;
-    t.listener <- Some sock;
-    t.threads <- Thread.create (fun () -> accept_loop t sock) () :: t.threads;
-    t.threads <- Thread.create (fun () -> kick_loop t) () :: t.threads
+    let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    (try
+       Unix.setsockopt listener Unix.SO_REUSEADDR true;
+       Unix.bind listener (addr (Cluster_config.peer t.config t.self));
+       Unix.listen listener 64;
+       Unix.set_nonblock listener
+     with e ->
+       close_quietly listener;
+       raise e);
+    let wake_r, wake_w = Unix.pipe () in
+    Mutex.lock t.mutex;
+    t.running <- true;
+    t.wake_w <- Some wake_w;
+    t.woken <- false;
+    t.loop <- Some (Thread.create (fun () -> run_loop t listener wake_r) ());
+    Mutex.unlock t.mutex
   end
 
 (* Startup barrier: probe every peer's listen port until it accepts. A
-   successful connect is closed straight away — the peer's reader thread
-   just sees EOF — so this only proves the socket is bound, which is all
-   the first request storm needs (writer threads retry the real
-   connections themselves). *)
+   successful connect is closed straight away — the peer's loop just sees
+   EOF — so this only proves the socket is bound, which is all the first
+   request storm needs (the loop retries the real connections itself). *)
 let await_peers ?(timeout = 10.0) t =
   let deadline = Unix.gettimeofday () +. timeout in
   let probe peer =
     let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close sock with _ -> ())
-      (fun () ->
-        match
-          Unix.connect sock
-            (Unix.ADDR_INET
-               (Unix.inet_addr_of_string peer.Cluster_config.host, peer.Cluster_config.port))
-        with
-        | () -> true
-        | exception _ -> false)
+    let up = try Unix.connect sock (addr peer); true with _ -> false in
+    close_quietly sock;
+    up
   in
   let rec wait_for pending =
-    let pending = List.filter (fun p -> not (probe p)) pending in
-    match pending with
+    match List.filter (fun p -> not (probe p)) pending with
     | [] -> Ok ()
-    | _ when Unix.gettimeofday () >= deadline ->
+    | pending when Unix.gettimeofday () >= deadline ->
         Error
           (Printf.sprintf "await_peers: %s unreachable after %.1fs"
              (String.concat ", "
                 (List.map (fun p -> Printf.sprintf "node %d" p.Cluster_config.id) pending))
              timeout)
-    | _ ->
+    | pending ->
         Thread.delay 0.05;
         wait_for pending
   in
   wait_for (List.filter (fun p -> p.Cluster_config.id <> t.self) t.config.Cluster_config.peers)
 
 let stop t =
-  if t.running then begin
-    t.running <- false;
-    (match t.listener with
-    | Some sock -> ( try Unix.close sock with _ -> ())
-    | None -> ());
-    t.listener <- None;
-    Mutex.lock t.outbound_lock;
-    Hashtbl.iter
-      (fun _ out ->
-        out.alive <- false;
-        Condition.broadcast out.cond)
-      t.outbounds;
-    Mutex.unlock t.outbound_lock;
-    (* Closing shard lines: a final metrics snapshot, the per-class frame
-       accounting, and the authoritative queued-message counters the
-       analyzer cross-checks against. The creator still owns the shard
-       and closes it. *)
-    match t.telemetry with
-    | Some sh ->
-        Metrics.set t.m_queue_depth (float_of_int (queued_frames t));
-        Dcs_obs.Shard.snapshot sh t.metrics;
-        Dcs_obs.Shard.write_msgs sh;
-        Dcs_obs.Shard.write_counters sh (Dcs_proto.Counters.to_list t.counters)
-    | None -> ()
-  end
+  Mutex.lock t.mutex;
+  let loop = if t.running then t.loop else None in
+  t.running <- false;
+  t.loop <- None;
+  wake t;
+  Mutex.unlock t.mutex;
+  match loop with
+  | None -> ()
+  | Some th -> (
+      (* A callback on the loop thread cannot wait for its own thread. *)
+      if Thread.id th <> Thread.id (Thread.self ()) then Thread.join th;
+      (* Closing shard lines: a final metrics snapshot, the per-class
+         frame accounting, and the authoritative queued-message counters
+         the analyzer cross-checks against. The creator still owns the
+         shard and closes it. *)
+      match t.telemetry with
+      | Some sh ->
+          Metrics.set t.m_queue_depth (float_of_int (queued_frames t));
+          Dcs_obs.Shard.snapshot sh t.metrics;
+          Dcs_obs.Shard.write_msgs sh;
+          Dcs_obs.Shard.write_counters sh (Dcs_proto.Counters.to_list t.counters)
+      | None -> ())
 
 (* {1 Client API} *)
 
 let request ?priority t ~lock ~mode ~on_granted =
-  Mutex.lock t.stripes.(lock);
-  let node = t.nodes.(lock) in
-  let seq = Node.with_send_batch node (fun () -> Node.request ?priority node ~mode) in
-  (if Hashtbl.mem t.granted_fired.(lock) seq then begin
-     Hashtbl.remove t.granted_fired.(lock) seq;
-     on_granted ()
-   end
-   else Hashtbl.replace t.granted_cbs.(lock) seq on_granted);
-  Mutex.unlock t.stripes.(lock);
-  seq
+  locked t (fun () ->
+      let node = t.nodes.(lock) in
+      let seq = Node.with_send_batch node (fun () -> Node.request ?priority node ~mode) in
+      on_fired t t.grants.(lock) seq on_granted;
+      seq)
 
 let release t ~lock ~seq =
-  Mutex.lock t.stripes.(lock);
-  let node = t.nodes.(lock) in
-  (try Node.with_send_batch node (fun () -> Node.release node ~seq)
-   with e ->
-     Mutex.unlock t.stripes.(lock);
-     raise e);
-  Mutex.unlock t.stripes.(lock)
+  locked t (fun () ->
+      let node = t.nodes.(lock) in
+      Node.with_send_batch node (fun () -> Node.release node ~seq))
 
 let upgrade t ~lock ~seq ~on_upgraded =
-  Mutex.lock t.stripes.(lock);
-  let node = t.nodes.(lock) in
-  (try
-     Node.with_send_batch node (fun () -> Node.upgrade node ~seq);
-     if Hashtbl.mem t.upgraded_fired.(lock) seq then begin
-       Hashtbl.remove t.upgraded_fired.(lock) seq;
-       on_upgraded ()
-     end
-     else Hashtbl.replace t.upgraded_cbs.(lock) seq on_upgraded
-   with e ->
-     Mutex.unlock t.stripes.(lock);
-     raise e);
-  Mutex.unlock t.stripes.(lock)
+  locked t (fun () ->
+      let node = t.nodes.(lock) in
+      Node.with_send_batch node (fun () -> Node.upgrade node ~seq);
+      on_fired t t.upgrades.(lock) seq on_upgraded)
 
-(* Blocking wrappers: a tiny one-shot latch. The grant callback may run on
-   a reader thread (under the lock's stripe mutex) or synchronously in
-   [request]; it only flips the latch, so holding the mutex is fine. *)
-let request_sync ?priority t ~lock ~mode =
+(* Blocking wrappers: a tiny one-shot latch. The callback runs on the
+   loop thread or in the calling thread, never under the runner's mutex. *)
+let await start =
   let m = Mutex.create () and c = Condition.create () and done_ = ref false in
-  let seq =
-    request ?priority t ~lock ~mode ~on_granted:(fun () ->
+  let r =
+    start (fun () ->
         Mutex.lock m;
         done_ := true;
         Condition.signal c;
@@ -633,17 +645,9 @@ let request_sync ?priority t ~lock ~mode =
     Condition.wait c m
   done;
   Mutex.unlock m;
-  seq
+  r
 
-let upgrade_sync t ~lock ~seq =
-  let m = Mutex.create () and c = Condition.create () and done_ = ref false in
-  upgrade t ~lock ~seq ~on_upgraded:(fun () ->
-      Mutex.lock m;
-      done_ := true;
-      Condition.signal c;
-      Mutex.unlock m);
-  Mutex.lock m;
-  while not !done_ do
-    Condition.wait c m
-  done;
-  Mutex.unlock m
+let request_sync ?priority t ~lock ~mode =
+  await (fun k -> request ?priority t ~lock ~mode ~on_granted:k)
+
+let upgrade_sync t ~lock ~seq = await (fun k -> upgrade t ~lock ~seq ~on_upgraded:k)

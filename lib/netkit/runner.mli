@@ -1,30 +1,24 @@
 (** One node of a real TCP-connected cluster, running the hierarchical
     protocol for every configured lock object.
 
-    Threads: one listener (accept loop), one reader per inbound connection,
-    one writer per outbound peer (so protocol handlers never block on
-    sockets), and one watchdog running the custody kick. Protocol state is
-    {e striped}: each lock object's engine (and its grant/upgrade callback
-    tables) has its own mutex, so traffic for independent locks dispatches
-    concurrently. Grant callbacks run while that lock's stripe mutex is
-    held and must not block or re-enter the same lock synchronously from
-    another thread.
+    One event loop thread [Unix.select]s over the listener, the inbound
+    connections, a wake-up pipe and the outbound connections that are
+    connecting or have bytes to write; the custody kick and the reconnect
+    backoff (50 ms ×1.5, capped at 1 s) are timers inside it. One mutex
+    guards engines, callback tables, counters and output buffers. Grant
+    and upgrade callbacks run after it is released, on the loop thread or
+    the calling thread: they may call back into the runner but must not
+    block.
 
-    The wire path is allocation-conscious: outbound messages queue as
-    unencoded envelopes and a per-peer writer thread drains the whole
-    queue under one lock acquisition, encodes the batch back-to-back into
-    one reusable flat buffer (each frame 4-byte big-endian length prefix +
-    envelope) and hands it to the kernel in a single write. Inbound frames
-    decode in place from a per-connection reusable buffer. Every protocol
-    entry point runs inside {!Dcs_hlock.Node.with_send_batch}, so
-    superseded upward Release/Freeze traffic coalesces before it is
-    queued.
-
-    Writer connections reconnect with capped exponential backoff; on a
-    failed write, frames the kernel did not fully accept are requeued in
-    order (a partially-written trailing frame is resent whole — the peer
-    discards the truncated copy at end-of-stream). Frames are dropped only
-    at {!stop}, and then the exact count is logged.
+    Every entry point runs inside {!Dcs_hlock.Node.with_send_batch} (so
+    superseded Release/Freeze traffic coalesces), encodes each frame
+    (4-byte big-endian length prefix + envelope) into its peer's buffer,
+    and ends with non-blocking writes; what the kernel does not take
+    waits for the socket to turn writable. A failed write keeps every
+    frame not fully accepted, in order, for the reconnect (a partial
+    frame is resent whole; the peer drops the truncated copy at end of
+    stream). Frames are dropped only at {!stop}, which logs the count. An
+    oversized or malformed inbound frame closes its connection.
 
     The token for every lock starts at node 0 — start node 0 first, or let
     connection retries smooth over the startup order. *)
@@ -52,7 +46,7 @@ val create :
   unit ->
   t
 
-(** Bind the listen port and start the service threads. Ignores SIGPIPE
+(** Bind the listen port and start the event loop thread. Ignores SIGPIPE
     process-wide (a dead peer must surface as a write error the runner
     can retry, not kill the process). *)
 val start : t -> unit
@@ -64,10 +58,11 @@ val start : t -> unit
     still unreachable when [timeout] (seconds, default 10) expires. *)
 val await_peers : ?timeout:float -> t -> (unit, string) result
 
-(** Stop the threads and close every socket. Idempotent. *)
+(** Stop the event loop, wait for it to exit and close every socket.
+    When it returns, {!stats}[.dropped_frames] is final. Idempotent. *)
 val stop : t -> unit
 
-(** {1 Asynchronous API (callbacks run under the lock's stripe mutex)} *)
+(** {1 Asynchronous API (callbacks run outside the runner's mutex)} *)
 
 val request : ?priority:int -> t -> lock:int -> mode:Dcs_modes.Mode.t -> on_granted:(unit -> unit) -> int
 val release : t -> lock:int -> seq:int -> unit
@@ -94,18 +89,17 @@ val id : t -> int
     periodic snapshots. *)
 val metrics : t -> Dcs_obs.Metrics.t
 
-(** A point-in-time view of the transport, queryable while running — the
-    stop-time log line is no longer the only way to see drops. *)
+(** A point-in-time view of the transport, queryable while running. *)
 type stats = {
   frames_sent : int;  (** frames fully handed to the kernel *)
   bytes_sent : int;  (** wire bytes of those frames (prefix included) *)
-  batches : int;  (** batched writes attempted *)
-  partial_requeues : int;  (** failed writes that requeued unsent frames *)
+  batches : int;  (** writes that handed bytes to the kernel *)
+  partial_requeues : int;  (** failed writes; their unsent frames wait for a reconnect *)
   connects : int;  (** successful outbound connections *)
   reconnects : int;  (** connects that replaced an earlier session *)
   connect_retries : int;  (** failed connection attempts *)
   backoff_ms : float;  (** current reconnect backoff (0 when connected) *)
-  queued_frames : int;  (** frames waiting in outbound queues now *)
+  queued_frames : int;  (** frames not yet fully written now *)
   dropped_frames : int;  (** frames abandoned at shutdown *)
   decode_errors : int;  (** malformed or oversized inbound frames *)
   frames_received : int;

@@ -145,20 +145,69 @@ let test_stats_unreachable_peer () =
   checkb "backoff is live and nonzero" true (s.Runner.backoff_ms > 0.0);
   checkb "frames stuck in the queue" true (s.Runner.queued_frames >= 1);
   checki "nothing dropped before stop" 0 s.Runner.dropped_frames;
+  (* [stop] joins the loop, so the drop count is final when it returns. *)
   Runner.stop runner;
-  (* The writer thread finishes its current backoff sleep before it
-     notices the shutdown and books the drops — poll briefly. *)
-  let deadline = Unix.gettimeofday () +. 3.0 in
-  let rec dropped () =
-    let s = Runner.stats runner in
-    if s.Runner.dropped_frames >= 1 then true
-    else if Unix.gettimeofday () >= deadline then false
-    else begin
-      Thread.delay 0.05;
-      dropped ()
-    end
-  in
-  checkb "queued frames dropped at stop" true (dropped ())
+  checkb "queued frames dropped at stop" true ((Runner.stats runner).Runner.dropped_frames >= 1)
+
+(* {1 The event loop: leaks, re-entrant callbacks, bad input} *)
+
+let test_no_leaks () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  (* The first [Thread.create] also starts the runtime's tick thread,
+     which stays; start it before counting. *)
+  Thread.join (Thread.create ignore ());
+  let count dir = Array.length (Sys.readdir dir) in
+  let fds () = count "/proc/self/fd" and tasks () = count "/proc/self/task" in
+  let fds0 = fds () and tasks0 = tasks () in
+  for _ = 1 to 5 do
+    let runners = make_cluster ~nodes:2 ~locks:1 in
+    Array.iter (fun r -> Result.iter_error Alcotest.fail (Runner.await_peers r)) runners;
+    let seq = Runner.request_sync runners.(1) ~lock:0 ~mode:Dcs_modes.Mode.W in
+    Runner.release runners.(1) ~lock:0 ~seq;
+    stop_all runners
+  done;
+  (* A joined thread can take a moment to leave /proc/self/task. *)
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  while (fds () <> fds0 || tasks () <> tasks0) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  checki "open fds back to the pre-cycle count" fds0 (fds ());
+  checki "threads back to the pre-cycle count" tasks0 (tasks ())
+
+let test_reentrant_callback () =
+  let runners = make_cluster ~nodes:2 ~locks:2 in
+  let r = runners.(1) and granted = Atomic.make 0 in
+  let note () = Atomic.incr granted in
+  ignore
+    (Runner.request r ~lock:0 ~mode:Dcs_modes.Mode.R ~on_granted:(fun () ->
+         ignore (Runner.request r ~lock:0 ~mode:Dcs_modes.Mode.R ~on_granted:note);
+         ignore (Runner.request r ~lock:1 ~mode:Dcs_modes.Mode.R ~on_granted:note)));
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Atomic.get granted < 2 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  checki "both requests from inside the callback granted" 2 (Atomic.get granted);
+  stop_all runners
+
+let test_bad_frame () =
+  let runners = make_cluster ~nodes:2 ~locks:1 in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close sock) (fun () ->
+      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, !base_port));
+      let prefix = Bytes.create 4 in
+      Bytes.set_int32_be prefix 0 (Int32.of_int (Dcs_wire.Codec.max_frame + 1));
+      ignore (Unix.write sock prefix 0 4);
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO 2.0;
+      let eof =
+        match Unix.read sock (Bytes.create 1) 0 1 with
+        | n -> n = 0
+        | exception Unix.Unix_error _ -> false
+      in
+      checkb "the node closed the connection" true eof);
+  checki "one decode error" 1 (Runner.stats runners.(0)).Runner.decode_errors;
+  let seq = Runner.request_sync runners.(1) ~lock:0 ~mode:Dcs_modes.Mode.W in
+  Runner.release runners.(1) ~lock:0 ~seq;
+  stop_all runners
 
 (* {1 In-process telemetry shards round-trip through the merger} *)
 
@@ -253,4 +302,10 @@ let () =
         ] );
       ( "telemetry",
         [ Alcotest.test_case "shards merge" `Slow test_telemetry_shards_merge ] );
+      ( "loop",
+        [
+          Alcotest.test_case "no fd or thread leak" `Slow test_no_leaks;
+          Alcotest.test_case "re-entrant callback" `Slow test_reentrant_callback;
+          Alcotest.test_case "bad frame" `Slow test_bad_frame;
+        ] );
     ]
