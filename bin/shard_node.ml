@@ -4,15 +4,16 @@
      dune exec bin/shard_node.exe -- demo --shards 2 --rounds 3 --check
 
    [demo] forks one worker process per shard plus a coordinator. Workers
-   derive the traffic plan deterministically from the seed and execute
-   the bursts of the buckets they home on a pooled Dcs_shard.Cell —
-   exactly Router.run_burst, same seeds, same at-rest format. The
-   coordinator runs the round barrier over TCP (Round_done frames) and
-   relays live bucket migrations: the source worker ships its bucket
-   store and parked jobs in a Handoff frame, the coordinator forwards it
-   to the destination, waits for the Handoff_ack, commits the ownership
-   flip and broadcasts the Dir_update every replica applies
-   version-monotonically.
+   derive the traffic plan deterministically from the seed, and each
+   round runs Router.run_round for their shard — the same per-shard code
+   Router.run fans over domains: same routing, parking, seeds and
+   at-rest format. The single-threaded coordinator runs the round
+   barrier over TCP (Round_done frames) and relays live bucket
+   migrations: the source worker ships the Handoff run_round built (its
+   bucket store and parked jobs), the coordinator forwards it to the
+   destination, which installs it with Router.install and acks; the
+   coordinator then commits the ownership flip and broadcasts the
+   Dir_update every replica applies version-monotonically.
 
    At the end every worker hands its final bucket states to the
    coordinator (the same Handoff path), which folds the namespace digest.
@@ -41,6 +42,10 @@ module Metrics = Dcs_obs.Metrics
 let send oc ~src msg =
   Codec.write_frame oc { Codec.src; lock = 0; payload = Codec.Shard msg };
   flush oc
+
+let buckets_homed_at dir ~(cfg : Router.config) shard =
+  let homed bucket = Directory.home dir ~bucket = shard in
+  List.length (List.filter homed (List.init cfg.Router.buckets Fun.id))
 
 (* {1 Worker: one shard process} *)
 
@@ -78,27 +83,17 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
   let m_msgs = Metrics.counter reg (Metrics.labelled "shard.msgs" ~shard) in
   let m_owned = Metrics.gauge reg (Metrics.labelled "shard.buckets_owned" ~shard) in
   let dir = Directory.create ~buckets:cfg.Router.buckets ~shards:cfg.Router.shards in
-  let cell = Cell.create ~latency:cfg.Router.latency ~nodes:cfg.Router.nodes () in
-  let stores = Array.init cfg.Router.buckets (fun _ -> Hashtbl.create 16) in
+  let sh =
+    {
+      Router.id = shard;
+      cell = Cell.create ~latency:cfg.Router.latency ~nodes:cfg.Router.nodes ();
+      stores = Array.init cfg.Router.buckets (fun _ -> Hashtbl.create 16);
+      replays = [];
+    }
+  in
   let plan =
     Traffic.plan ~skew:cfg.Router.skew ~seed:cfg.Router.seed ~lock_sets:cfg.Router.lock_sets
       ~rounds:cfg.Router.rounds ~jobs_per_round:cfg.Router.jobs_per_round ()
-  in
-  let replays = ref [] in
-  let owned_buckets () =
-    let n = ref 0 in
-    for b = 0 to cfg.Router.buckets - 1 do
-      if Directory.home dir ~bucket:b = shard then incr n
-    done;
-    !n
-  in
-  let install_handoff ~bucket ~entries ~parked =
-    Hashtbl.reset stores.(bucket);
-    List.iter
-      (fun (e : Shard_msg.handoff_entry) ->
-        Hashtbl.replace stores.(bucket) e.Shard_msg.set (Router.set_state_of_entry e))
-      entries;
-    replays := !replays @ List.map (fun (set, burst) -> { Traffic.set; burst }) parked
   in
   for round = 0 to cfg.Router.rounds - 1 do
     (* Every replica starts the round's migrations deterministically:
@@ -108,52 +103,14 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
         if m.Router.round = round then
           Directory.begin_migration dir ~bucket:m.Router.bucket ~dst:m.Router.dst)
       migrations;
-    let mine = ref [] in
-    let parked = Array.make cfg.Router.buckets [] in
-    let route (job : Traffic.job) =
-      let bucket = Router.bucket_of_set ~buckets:cfg.Router.buckets job.Traffic.set in
-      match Directory.migrating dir ~bucket with
-      | Some _ ->
-          if Directory.home dir ~bucket = shard then parked.(bucket) <- job :: parked.(bucket)
-      | None -> if Directory.home dir ~bucket = shard then mine := job :: !mine
-    in
-    let pending = !replays in
-    replays := [];
-    List.iter route pending;
-    Array.iter route plan.Traffic.rounds.(round);
-    let round_bursts = ref 0 and round_grants = ref 0 in
-    List.iter
-      (fun (job : Traffic.job) ->
-        let bucket = Router.bucket_of_set ~buckets:cfg.Router.buckets job.Traffic.set in
-        let grants, _upgrades, msgs = Router.run_burst cfg cell stores.(bucket) job in
-        incr round_bursts;
-        round_grants := !round_grants + grants;
-        Metrics.incr m_bursts;
-        Metrics.add m_grants grants;
-        Metrics.add m_msgs msgs)
-      (List.rev !mine);
-    (* Source side of a migration: the full bucket store and the parked
-       jobs leave in one Handoff. *)
-    List.iter
-      (fun (m : Router.migration) ->
-        if m.Router.round = round && Directory.home dir ~bucket:m.Router.bucket = shard then begin
-          let bucket = m.Router.bucket in
-          send
-            (Shard_msg.Handoff
-               {
-                 bucket;
-                 version = Directory.version dir ~bucket + 1;
-                 entries = Router.entries_of_store stores.(bucket);
-                 parked =
-                   List.map
-                     (fun (j : Traffic.job) -> (j.Traffic.set, j.Traffic.burst))
-                     (List.rev parked.(bucket));
-               });
-          Hashtbl.reset stores.(bucket)
-        end)
-      migrations;
-    send (Shard_msg.Round_done { shard; round; bursts = !round_bursts; grants = !round_grants });
-    Metrics.set m_owned (float_of_int (owned_buckets ()));
+    let rep = Router.run_round cfg dir sh ~round migrations plan.Traffic.rounds.(round) in
+    Metrics.add m_bursts rep.Router.bursts;
+    Metrics.add m_grants rep.Router.grants;
+    Metrics.add m_msgs rep.Router.msgs;
+    List.iter send rep.Router.handoffs;
+    let bursts = rep.Router.bursts and grants = rep.Router.grants in
+    send (Shard_msg.Round_done { shard; round; bursts; grants });
+    Metrics.set m_owned (float_of_int (buckets_homed_at dir ~cfg shard));
     Option.iter (fun t -> Dcs_obs.Shard.snapshot t reg) tele;
     (* Barrier: consume coordinator traffic (inbound handoffs, directory
        updates) until this round's release. *)
@@ -163,7 +120,7 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
       | Some { Codec.payload = Codec.Shard msg; _ } -> (
           match msg with
           | Shard_msg.Handoff { bucket; version; entries; parked } ->
-              install_handoff ~bucket ~entries ~parked;
+              Router.install sh ~bucket entries parked;
               send (Shard_msg.Handoff_ack { bucket; version });
               wait ()
           | Shard_msg.Dir_update e -> (
@@ -187,7 +144,7 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
            {
              bucket;
              version = Directory.version dir ~bucket;
-             entries = Router.entries_of_store stores.(bucket);
+             entries = Router.entries_of_store sh.Router.stores.(bucket);
              parked = [];
            })
   done;
@@ -208,102 +165,63 @@ let run_worker ~shard ~(cfg : Router.config) ~migrations ~port ~telemetry =
 
 (* {1 Coordinator} *)
 
-(* [Closed] marks a worker connection hitting EOF: expected once per
-   worker after its final Round_done, fatal any earlier — the coordinator
-   must fail loudly rather than wait forever for frames that can never
-   arrive. *)
-type inbound = Frame of { conn : int; env : Codec.envelope } | Closed of int
-
+(* The protocol is lock-step, so the coordinator needs no threads: it
+   reads one connection at a time. Within a round it drains each worker
+   up to that worker's Round_done; in the commit phase it reads only the
+   destination it just sent a Handoff to, up to its Handoff_ack. Neither
+   side can wait on the other: a worker blocks only writing to the
+   coordinator or reading its barrier, and the coordinator only reads a
+   connection whose worker is still sending or has nothing left to
+   send. *)
 let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check =
-  let queue = Queue.create () in
-  let mu = Mutex.create () and cv = Condition.create () in
-  let push item =
-    Mutex.lock mu;
-    Queue.push item queue;
-    Condition.signal cv;
-    Mutex.unlock mu
-  in
-  let next () =
-    Mutex.lock mu;
-    while Queue.is_empty queue do
-      Condition.wait cv mu
-    done;
-    let m = Queue.pop queue in
-    Mutex.unlock mu;
-    m
-  in
-  let conns = Array.make cfg.Router.shards None in
-  let readers =
-    List.init cfg.Router.shards (fun i ->
-        Thread.create
-          (fun () ->
-            (* Accept order is arbitrary; the envelope src names the shard. *)
-            let fd, _ = Unix.accept listen in
-            let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-            conns.(i) <- Some oc;
-            let rec loop () =
-              match Codec.read_frame ic with
-              | Some env ->
-                  push (Frame { conn = i; env });
-                  loop ()
-              | None -> push (Closed i)
-              (* A killed worker resets the connection rather than closing
-                 it; either way the frames stop — same signal. *)
-              | exception _ -> push (Closed i)
-            in
-            loop ())
-          ())
+  (* Accept order is arbitrary; the envelope src names the shard. *)
+  let conns =
+    Array.init cfg.Router.shards (fun _ ->
+        let fd, _ = Unix.accept listen in
+        (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd))
   in
   let shard_conn = Array.make cfg.Router.shards (-1) in
-  let oc_of_shard s =
-    match conns.(shard_conn.(s)) with
-    | Some oc -> oc
-    | None -> failwith "coordinator: shard connection lost"
+  (* A killed worker resets the connection rather than closing it; either
+     way its frames stop, and waiting for them would hang forever. *)
+  let read ~on_eof c =
+    match Codec.read_frame (fst conns.(c)) with
+    | Some env ->
+        shard_conn.(env.Codec.src) <- c;
+        env.Codec.payload
+    | None | (exception _) -> failwith on_eof
   in
+  let oc_of_shard s = snd conns.(shard_conn.(s)) in
   let dir = Directory.create ~buckets:cfg.Router.buckets ~shards:cfg.Router.shards in
-  let final = Hashtbl.create 64 in
-  (* collected final set states *)
-  let handoffs = Hashtbl.create 4 in
-  (* bucket -> pending migration handoff *)
+  let final = Hashtbl.create 64 (* collected final set states *) in
+  let handoffs = Hashtbl.create 4 (* bucket -> pending migration handoff *) in
   let sh_bursts = Array.make cfg.Router.shards 0 in
   let sh_grants = Array.make cfg.Router.shards 0 in
   for round = 0 to cfg.Router.rounds do
     (* Round cfg.rounds is the final report: workers send their bucket
        states, then a closing Round_done. *)
-    let done_from = Array.make cfg.Router.shards false in
-    while Array.exists not done_from do
-      match next () with
-      | Closed c ->
-          (* Legitimate only in the final report round, from a worker whose
-             closing Round_done was already collected; any earlier EOF means
-             a dead worker, and waiting for its frames would hang forever. *)
-          let finished = ref false in
-          for s = 0 to cfg.Router.shards - 1 do
-            if shard_conn.(s) = c && done_from.(s) then finished := true
-          done;
-          if not (round = cfg.Router.rounds && !finished) then
-            failwith "coordinator: worker disconnected mid-run"
-      | Frame { conn; env } -> (
-      let src = env.Codec.src in
-      shard_conn.(src) <- conn;
-      match env.Codec.payload with
-      | Codec.Shard (Shard_msg.Round_done { shard; round = r; bursts; grants }) ->
-          if r <> round then
-            failwith (Printf.sprintf "coordinator: shard %d at round %d, expected %d" shard r round);
-          if round = cfg.Router.rounds then begin
-            sh_bursts.(shard) <- bursts;
-            sh_grants.(shard) <- grants
-          end;
-          done_from.(shard) <- true
-      | Codec.Shard (Shard_msg.Handoff { bucket; version; entries; parked }) ->
-          if round = cfg.Router.rounds then
-            (* Final report: fold the entries into the namespace view. *)
-            List.iter
-              (fun (e : Shard_msg.handoff_entry) ->
-                Hashtbl.replace final e.Shard_msg.set (Router.set_state_of_entry e))
-              entries
-          else Hashtbl.replace handoffs bucket (version, entries, parked)
-      | _ -> failwith "coordinator: unexpected frame")
+    for c = 0 to cfg.Router.shards - 1 do
+      let rec drain () =
+        match read ~on_eof:"coordinator: worker disconnected mid-run" c with
+        | Codec.Shard (Shard_msg.Round_done { shard; round = r; bursts; grants }) ->
+            if r <> round then
+              failwith
+                (Printf.sprintf "coordinator: shard %d at round %d, expected %d" shard r round);
+            if round = cfg.Router.rounds then begin
+              sh_bursts.(shard) <- bursts;
+              sh_grants.(shard) <- grants
+            end
+        | Codec.Shard (Shard_msg.Handoff { bucket; version; entries; _ } as handoff) ->
+            if round = cfg.Router.rounds then
+              (* Final report: fold the entries into the namespace view. *)
+              List.iter
+                (fun (e : Shard_msg.handoff_entry) ->
+                  Hashtbl.replace final e.Shard_msg.set (Router.set_state_of_entry e))
+                entries
+            else Hashtbl.replace handoffs bucket (version, handoff);
+            drain ()
+        | _ -> failwith "coordinator: unexpected frame"
+      in
+      drain ()
     done;
     if round < cfg.Router.rounds then begin
       (* Commit this round's migrations: forward each stored handoff to
@@ -312,27 +230,22 @@ let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check
         (fun (m : Router.migration) ->
           if m.Router.round = round then begin
             let bucket = m.Router.bucket in
-            let version, entries, parked =
+            let version, handoff =
               match Hashtbl.find_opt handoffs bucket with
               | Some h -> h
               | None -> failwith (Printf.sprintf "coordinator: no handoff for bucket %d" bucket)
             in
             Hashtbl.remove handoffs bucket;
             Directory.begin_migration dir ~bucket ~dst:m.Router.dst;
-            send (oc_of_shard m.Router.dst) ~src:cfg.Router.shards
-              (Shard_msg.Handoff { bucket; version; entries; parked });
-            let await_ack () =
-              match next () with
-              | Closed _ -> failwith "coordinator: worker disconnected awaiting Handoff_ack"
-              | Frame { conn; env } -> (
-                  shard_conn.(env.Codec.src) <- conn;
-                  match env.Codec.payload with
-                  | Codec.Shard (Shard_msg.Handoff_ack { bucket = b; version = v })
-                    when b = bucket && v = version ->
-                      ()
-                  | _ -> failwith "coordinator: expected Handoff_ack")
-            in
-            await_ack ();
+            send (oc_of_shard m.Router.dst) ~src:cfg.Router.shards handoff;
+            (match
+               read ~on_eof:"coordinator: worker disconnected awaiting Handoff_ack"
+                 shard_conn.(m.Router.dst)
+             with
+            | Codec.Shard (Shard_msg.Handoff_ack { bucket = b; version = v })
+              when b = bucket && v = version ->
+                ()
+            | _ -> failwith "coordinator: expected Handoff_ack");
             Directory.commit_migration dir ~bucket;
             let update = Shard_msg.Dir_update (Directory.entry dir ~bucket) in
             for s = 0 to cfg.Router.shards - 1 do
@@ -347,7 +260,7 @@ let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check
       done
     end
   done;
-  List.iter Thread.join readers;
+  Array.iter (fun (ic, _) -> close_in_noerr ic) conns;
   let digest =
     Router.digest_of_store ~lock_sets:cfg.Router.lock_sets (fun set -> Hashtbl.find_opt final set)
   in
@@ -357,11 +270,8 @@ let run_coordinator ~(cfg : Router.config) ~migrations ~listen ~telemetry ~check
     cfg.Router.rounds bursts grants;
   Array.iteri
     (fun s b ->
-      let owned = ref 0 in
-      for bk = 0 to cfg.Router.buckets - 1 do
-        if Directory.home dir ~bucket:bk = s then incr owned
-      done;
-      Printf.printf "  shard %d: %d bursts, %d grants, %d buckets\n" s b sh_grants.(s) !owned)
+      Printf.printf "  shard %d: %d bursts, %d grants, %d buckets\n" s b sh_grants.(s)
+        (buckets_homed_at dir ~cfg s))
     sh_bursts;
   Printf.printf "namespace digest: %Lx\n%!" digest;
   if not check then 0

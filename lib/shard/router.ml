@@ -130,11 +130,13 @@ let entry_of_set_state ~set (st : set_state) =
     state = Codec.decode_cluster_state st.state;
   }
 
-(* Bucket store contents as sorted wire entries — handoff send order. *)
-let entries_of_store tbl =
+(* A bucket store's sets in ascending set order — the handoff send
+   order and the per-bucket digest's fold order. *)
+let sorted_sets tbl =
   let sets = Hashtbl.fold (fun set st acc -> (set, st) :: acc) tbl [] in
-  let sets = List.sort (fun (a, _) (b, _) -> compare a b) sets in
-  List.map (fun (set, st) -> entry_of_set_state ~set st) sets
+  List.sort (fun (a, _) (b, _) -> compare a b) sets
+
+let entries_of_store tbl = List.map (fun (set, st) -> entry_of_set_state ~set st) (sorted_sets tbl)
 
 (* {1 One burst}
 
@@ -198,7 +200,7 @@ let run_burst cfg cell tbl (job : Traffic.job) =
         { state = bytes; s_bursts = 1; s_grants = burst_grants; s_msgs = burst_msgs });
   (burst_grants, !upgrades, burst_msgs)
 
-(* {1 The round loop} *)
+(* {1 Migration schedules} *)
 
 let validate_migrations cfg migrations =
   List.iter
@@ -229,6 +231,93 @@ let validate_migrations cfg migrations =
       home.(m.bucket) <- m.dst)
     (List.stable_sort (fun a b -> compare a.round b.round) migrations)
 
+(* {1 One shard's round}
+
+   The per-round policy both drivers share — the in-process [run] below
+   and the cross-process worker in dcs-shard-node: route replays, then
+   the plan; serve the buckets this shard homes; park the jobs of its
+   migrating buckets; and empty each bucket it migrates away into a
+   Handoff carrying those parked jobs. *)
+
+type shard = {
+  id : int;
+  cell : Cell.t;
+  stores : (int, set_state) Hashtbl.t array;
+  mutable replays : Traffic.job list;
+}
+
+type round_report = {
+  bursts : int;
+  grants : int;
+  upgrades : int;
+  msgs : int;
+  handoffs : Shard_msg.t list;
+}
+
+(* Route and run: handoff replays first (they are older), then this
+   round's plan, in issue order; jobs for other shards' buckets are not
+   ours. Returns the round's counts and, per bucket, the jobs parked
+   because the bucket is migrating, newest first. *)
+let serve cfg dir sh plan_jobs =
+  let mine = ref [] in
+  let parked = Array.make cfg.buckets [] in
+  let route (job : Traffic.job) =
+    let bucket = bucket_of_set ~buckets:cfg.buckets job.Traffic.set in
+    if Directory.home dir ~bucket = sh.id then
+      match Directory.migrating dir ~bucket with
+      | Some _ -> parked.(bucket) <- job :: parked.(bucket)
+      | None -> mine := job :: !mine
+  in
+  let pending = sh.replays in
+  sh.replays <- [];
+  List.iter route pending;
+  Array.iter route plan_jobs;
+  let bursts, grants, upgrades, msgs =
+    List.fold_left
+      (fun (b, g, u, m) job ->
+        let bucket = bucket_of_set ~buckets:cfg.buckets job.Traffic.set in
+        let grants, upgrades, msgs = run_burst cfg sh.cell sh.stores.(bucket) job in
+        (b + 1, g + grants, u + upgrades, m + msgs))
+      (0, 0, 0, 0) (List.rev !mine)
+  in
+  ({ bursts; grants; upgrades; msgs; handoffs = [] }, parked)
+
+(* Empty [bucket]'s store into a Handoff that carries its parked jobs. *)
+let handoff dir sh ~bucket parked =
+  let entries = entries_of_store sh.stores.(bucket) in
+  Hashtbl.reset sh.stores.(bucket);
+  let job_id (j : Traffic.job) = (j.Traffic.set, j.Traffic.burst) in
+  Shard_msg.Handoff
+    {
+      bucket;
+      version = Directory.version dir ~bucket + 1;
+      entries;
+      parked = List.rev_map job_id parked.(bucket);
+    }
+
+let run_round cfg dir sh ~round migrations plan_jobs =
+  let report, parked = serve cfg dir sh plan_jobs in
+  let handoffs =
+    List.filter_map
+      (fun m ->
+        if m.round = round && Directory.home dir ~bucket:m.bucket = sh.id then
+          Some (handoff dir sh ~bucket:m.bucket parked)
+        else None)
+      migrations
+  in
+  { report with handoffs }
+
+let install sh ~bucket entries parked =
+  let store = sh.stores.(bucket) in
+  Hashtbl.reset store;
+  List.iter
+    (fun (e : Shard_msg.handoff_entry) ->
+      Hashtbl.replace store e.Shard_msg.set (set_state_of_entry e))
+    entries;
+  sh.replays <- sh.replays @ List.map (fun (set, burst) -> { Traffic.set; burst }) parked
+
+(* {1 The round loop} *)
+
 let run ?jobs ?(migrations = []) cfg =
   if cfg.shards < 1 then invalid_arg "Router.run: need at least one shard";
   if cfg.buckets < 1 then invalid_arg "Router.run: need at least one bucket";
@@ -240,8 +329,15 @@ let run ?jobs ?(migrations = []) cfg =
       ~jobs_per_round:cfg.jobs_per_round ()
   in
   let dir = Directory.create ~buckets:cfg.buckets ~shards:cfg.shards in
-  let cells = Array.init cfg.shards (fun _ -> Cell.create ~latency:cfg.latency ~nodes:cfg.nodes ()) in
+  (* One bucket-indexed store array shared by every shard: within a round
+     a shard touches only the stores of buckets it homes, so the domains
+     of [Parallel.map] are disjoint, and its join is the happens-before
+     barrier the handoffs and the next round read behind. *)
   let stores = Array.init cfg.buckets (fun _ -> Hashtbl.create 16) in
+  let shards =
+    Array.init cfg.shards (fun id ->
+        { id; cell = Cell.create ~latency:cfg.latency ~nodes:cfg.nodes (); stores; replays = [] })
+  in
   (* Cumulative per-shard accounting (the balance table). *)
   let sh_bursts = Array.make cfg.shards 0 in
   let sh_grants = Array.make cfg.shards 0 in
@@ -250,13 +346,9 @@ let run ?jobs ?(migrations = []) cfg =
   let migrations_applied = ref 0 in
   let parked_replayed = ref 0 in
   let handoff_bytes = ref 0 in
-  (* Jobs a committed handoff carried, to replay at the new home before
-     its own next-round work; in park order. *)
-  let replays : Traffic.job list array = Array.make cfg.shards [] in
-  let have_replays () = Array.exists (fun l -> l <> []) replays in
   let rounds_run = ref 0 in
   let r = ref 0 in
-  while !r < cfg.rounds || have_replays () do
+  while !r < cfg.rounds || Array.exists (fun sh -> sh.replays <> []) shards do
     let round = !r in
     incr rounds_run;
     (* Migrations scheduled for this round start now: their buckets stop
@@ -264,63 +356,26 @@ let run ?jobs ?(migrations = []) cfg =
     List.iter
       (fun m -> if m.round = round then Directory.begin_migration dir ~bucket:m.bucket ~dst:m.dst)
       migrations;
-    (* Distribute: handoff replays first (they are older), then this
-       round's plan, preserving issue order; migrating buckets park. *)
-    let per_shard : Traffic.job list array = Array.make cfg.shards [] in
-    let parked : Traffic.job list array = Array.make cfg.buckets [] in
-    let route (job : Traffic.job) =
-      let bucket = bucket_of_set ~buckets:cfg.buckets job.Traffic.set in
-      match Directory.migrating dir ~bucket with
-      | Some _ -> parked.(bucket) <- job :: parked.(bucket)
-      | None ->
-          let home = Directory.home dir ~bucket in
-          per_shard.(home) <- job :: per_shard.(home)
-    in
-    let pending = Array.copy replays in
-    Array.fill replays 0 cfg.shards [];
-    Array.iter (List.iter route) pending;
-    if round < cfg.rounds then Array.iter route plan.Traffic.rounds.(round);
-    let per_shard = Array.map List.rev per_shard in
-    (* Fan the round over domains; each shard touches only the stores of
-       buckets it homes, so the workers are disjoint, and the join below
-       is the happens-before barrier the next round (and any handoff)
-       reads behind. *)
-    let round_stats =
-      Parallel.map ?jobs
-        (fun s ->
-          List.fold_left
-            (fun (b, g, u, m) job ->
-              let bucket = bucket_of_set ~buckets:cfg.buckets job.Traffic.set in
-              let grants, upgrades, msgs = run_burst cfg cells.(s) stores.(bucket) job in
-              (b + 1, g + grants, u + upgrades, m + msgs))
-            (0, 0, 0, 0) per_shard.(s))
-        (Array.init cfg.shards (fun s -> s))
-    in
+    let plan_jobs = if round < cfg.rounds then plan.Traffic.rounds.(round) else [||] in
+    let served = Parallel.map ?jobs (fun sh -> serve cfg dir sh plan_jobs) shards in
     Array.iteri
-      (fun s (b, g, u, m) ->
-        sh_bursts.(s) <- sh_bursts.(s) + b;
-        sh_grants.(s) <- sh_grants.(s) + g;
-        sh_msgs.(s) <- sh_msgs.(s) + m;
-        total_upgrades := !total_upgrades + u)
-      round_stats;
-    (* Commit this round's migrations: full bucket state plus the parked
-       jobs travel in one Handoff, through the real wire codec. *)
+      (fun s ((rep : round_report), _) ->
+        sh_bursts.(s) <- sh_bursts.(s) + rep.bursts;
+        sh_grants.(s) <- sh_grants.(s) + rep.grants;
+        sh_msgs.(s) <- sh_msgs.(s) + rep.msgs;
+        total_upgrades := !total_upgrades + rep.upgrades)
+      served;
+    (* Commit this round's migrations in schedule order, each handoff
+       crossing the real wire codec. The sources build their handoffs
+       here, after the join, rather than inside [Parallel.map]: the
+       decoded entries then live on this domain's heap, not on that of a
+       worker domain the round's end orphans (shard2's peak heap read
+       about 20% higher the other way). *)
     List.iter
       (fun mg ->
         if mg.round = round then begin
-          let bucket = mg.bucket in
-          let src = Directory.home dir ~bucket in
-          let entries = entries_of_store stores.(bucket) in
-          let parked_jobs = List.rev parked.(bucket) in
-          let handoff =
-            Shard_msg.Handoff
-              {
-                bucket;
-                version = Directory.version dir ~bucket + 1;
-                entries;
-                parked = List.map (fun (j : Traffic.job) -> (j.Traffic.set, j.Traffic.burst)) parked_jobs;
-              }
-          in
+          let src = Directory.home dir ~bucket:mg.bucket in
+          let handoff = handoff dir shards.(src) ~bucket:mg.bucket (snd served.(src)) in
           let frame = Codec.encode { Codec.src; lock = 0; payload = Codec.Shard handoff } in
           handoff_bytes := !handoff_bytes + String.length frame;
           (* The receiving side sees only the bytes: everything a set's
@@ -329,18 +384,11 @@ let run ?jobs ?(migrations = []) cfg =
              the wire entry carries (bursts, grants, msgs, state) and
              nothing else. *)
           (match (Codec.decode frame).Codec.payload with
-          | Codec.Shard (Shard_msg.Handoff { bucket = b2; entries = entries2; parked = parked2; _ }) ->
-              Hashtbl.reset stores.(b2);
-              List.iter
-                (fun (e : Shard_msg.handoff_entry) ->
-                  Hashtbl.replace stores.(b2) e.Shard_msg.set (set_state_of_entry e))
-                entries2;
-              replays.(mg.dst) <-
-                replays.(mg.dst)
-                @ List.map (fun (set, burst) -> { Traffic.set; burst }) parked2;
-              parked_replayed := !parked_replayed + List.length parked2
+          | Codec.Shard (Shard_msg.Handoff { bucket; entries; parked; _ }) ->
+              install shards.(mg.dst) ~bucket entries parked;
+              parked_replayed := !parked_replayed + List.length parked
           | _ -> failwith "Router: handoff did not decode as a Handoff");
-          Directory.commit_migration dir ~bucket;
+          Directory.commit_migration dir ~bucket:mg.bucket;
           incr migrations_applied;
           match Directory.validate dir with
           | [] -> ()
@@ -354,9 +402,8 @@ let run ?jobs ?(migrations = []) cfg =
      bucket's sets in set order — the balance/migration fingerprint. *)
   let bucket_digests =
     List.init cfg.buckets (fun b ->
-        let sets = Hashtbl.fold (fun set st acc -> (set, st) :: acc) stores.(b) [] in
-        let sets = List.sort (fun (a, _) (b, _) -> compare a b) sets in
-        (b, List.fold_left (fun h (set, st) -> mix_set h set st) fnv_offset sets))
+        let fold h (set, st) = mix_set h set st in
+        (b, List.fold_left fold fnv_offset (sorted_sets stores.(b))))
   in
   let digest =
     digest_of_store ~lock_sets:cfg.lock_sets (fun set ->

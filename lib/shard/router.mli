@@ -66,9 +66,10 @@ val bucket_of_set : buckets:int -> int -> int
 
 (** {2 Building blocks}
 
-    The pieces a cross-process shard worker reuses so the distributed
-    service and the in-process router share one execution path, one
-    at-rest format and one digest. *)
+    A cross-process shard worker drives its shard with {!run_round} and
+    {!install} — the routing, parking and handoff code {!run} executes
+    for every shard — so the distributed service and the in-process
+    router share one execution path, one at-rest format and one digest. *)
 
 (** One lock set's at-rest record between bursts: its encoded cluster
     state ({!Dcs_wire.Codec.encode_cluster_state}) and the accounting
@@ -82,7 +83,6 @@ type set_state = {
 }
 
 val set_state_of_entry : Dcs_wire.Shard_msg.handoff_entry -> set_state
-val entry_of_set_state : set:int -> set_state -> Dcs_wire.Shard_msg.handoff_entry
 
 (** A bucket store's contents as wire entries, in ascending set order —
     the handoff send order. *)
@@ -98,6 +98,42 @@ val run_burst : config -> Cell.t -> (int, set_state) Hashtbl.t -> Traffic.job ->
 (** Fold the namespace digest over whatever store the caller has:
     [find set] returns the set's at-rest record if it ever ran. *)
 val digest_of_store : lock_sets:int -> (int -> set_state option) -> int64
+
+(** One shard: its id, its pooled cell, the bucket-indexed stores it
+    serves from (only the entries of buckets it homes are its own), and
+    the parked jobs installed handoffs left for it to replay. *)
+type shard = {
+  id : int;
+  cell : Cell.t;
+  stores : (int, set_state) Hashtbl.t array;
+  mutable replays : Traffic.job list;
+}
+
+(** What one shard did in one round. [handoffs] are
+    {!Dcs_wire.Shard_msg.Handoff}s, in schedule order. *)
+type round_report = {
+  bursts : int;
+  grants : int;
+  upgrades : int;
+  msgs : int;
+  handoffs : Dcs_wire.Shard_msg.t list;
+}
+
+(** Run shard [sh]'s part of [round] against directory [dir], in which
+    this round's [migrations] have begun: route [sh.replays], then
+    [plan_jobs] (the round's plan, [[||]] in an extra replay round);
+    run the jobs of buckets [sh] homes through {!run_burst}; park the
+    jobs of its migrating buckets; and empty each bucket it migrates
+    away this round into a Handoff carrying that bucket's parked jobs.
+    Touches only the stores of buckets [sh] homes. *)
+val run_round :
+  config -> Directory.t -> shard -> round:int -> migration list -> Traffic.job array -> round_report
+
+(** Install a received handoff: replace [bucket]'s store with [entries]
+    and queue the [(set, burst)] jobs in [parked] for replay after any
+    already queued. *)
+val install :
+  shard -> bucket:int -> Dcs_wire.Shard_msg.handoff_entry list -> (int * int) list -> unit
 
 (** Check a migration schedule against [cfg] without running it: raises
     [Invalid_argument] on out-of-range ids, a bucket migrated twice in

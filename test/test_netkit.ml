@@ -158,7 +158,19 @@ let test_no_leaks () =
   Thread.join (Thread.create ignore ());
   let count dir = Array.length (Sys.readdir dir) in
   let fds () = count "/proc/self/fd" and tasks () = count "/proc/self/task" in
-  let fds0 = fds () and tasks0 = tasks () in
+  (* A just-joined thread can linger in /proc/self/task: take the
+     baseline once three readings 20 ms apart agree, or after 1 s. *)
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  let rec settle prev agreeing =
+    let now = (fds (), tasks ()) in
+    let agreeing = if now = prev then agreeing + 1 else 1 in
+    if agreeing >= 3 || Unix.gettimeofday () >= deadline then now
+    else begin
+      Thread.delay 0.02;
+      settle now agreeing
+    end
+  in
+  let fds0, tasks0 = settle (-1, -1) 0 in
   for _ = 1 to 5 do
     let runners = make_cluster ~nodes:2 ~locks:1 in
     Array.iter (fun r -> Result.iter_error Alcotest.fail (Runner.await_peers r)) runners;

@@ -155,23 +155,38 @@ let busy_bucket cfg ~round =
   Router.bucket_of_set ~buckets:cfg.Router.buckets job.Traffic.set
 
 let test_migration_preserves_digest_and_grants () =
+  (* One bucket moving, two buckets swapping homes, and two buckets
+     moving into one shard — all in round 1, while the busy bucket has
+     jobs to park. *)
   let cfg = { base_cfg with Router.shards = 3 } in
   let baseline = Router.run ~jobs:1 cfg in
-  let bucket = busy_bucket cfg ~round:1 in
-  let dst = (Directory.home (Directory.create ~buckets:cfg.Router.buckets ~shards:3) ~bucket + 1) mod 3 in
-  let migrated =
-    Router.run ~jobs:2 ~migrations:[ { Router.round = 1; bucket; dst } ] cfg
-  in
-  check64 "digest unchanged by migration" baseline.Router.digest migrated.Router.digest;
-  checki "migrations applied" 1 migrated.Router.migrations_applied;
-  checkb "parked jobs replayed" true (migrated.Router.parked_replayed > 0);
-  checkb "handoff actually shipped bytes" true (migrated.Router.handoff_bytes > 0);
-  (* Zero grant loss: every planned burst ran, every request granted. *)
-  checki "bursts complete" baseline.Router.bursts migrated.Router.bursts;
-  checki "grants complete" baseline.Router.grants migrated.Router.grants;
-  checki "grants = bursts * ops"
-    (migrated.Router.bursts * cfg.Router.ops_per_burst)
-    migrated.Router.grants
+  let dir = Directory.create ~buckets:cfg.Router.buckets ~shards:3 in
+  let home bucket = Directory.home dir ~bucket in
+  let a = busy_bucket cfg ~round:1 in
+  let b = List.find (fun b -> home b <> home a) (List.init cfg.Router.buckets Fun.id) in
+  let neither = 3 - home a - home b in
+  let mg bucket dst = { Router.round = 1; bucket; dst } in
+  List.iter
+    (fun (name, migrations) ->
+      let migrated = Router.run ~jobs:2 ~migrations cfg in
+      let what s = name ^ ": " ^ s in
+      check64 (what "digest unchanged by migration") baseline.Router.digest migrated.Router.digest;
+      checki (what "migrations applied") (List.length migrations)
+        migrated.Router.migrations_applied;
+      checkb (what "parked jobs replayed") true (migrated.Router.parked_replayed > 0);
+      checkb (what "handoff actually shipped bytes") true (migrated.Router.handoff_bytes > 0);
+      (* Zero grant loss: every planned burst ran, every request granted. *)
+      checki (what "bursts complete") baseline.Router.bursts migrated.Router.bursts;
+      checki (what "grants complete") baseline.Router.grants migrated.Router.grants;
+      checki (what "grants = bursts * ops")
+        (migrated.Router.bursts * cfg.Router.ops_per_burst)
+        migrated.Router.grants;
+      checkb (what "jobs 1 = jobs 2") true (Router.run ~jobs:1 ~migrations cfg = migrated))
+    [
+      ("one bucket", [ mg a ((home a + 1) mod 3) ]);
+      ("same-round swap", [ mg a (home b); mg b (home a) ]);
+      ("two into one shard", [ mg a neither; mg b neither ]);
+    ]
 
 let test_migration_chain () =
   (* The same bucket moves twice; a round-after-last replay round may be
